@@ -178,6 +178,9 @@ class FlattenLayer : public Layer {
   Tensor backward(const Tensor&) override {
     throw std::logic_error("FlattenLayer: inference-only");
   }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<FlattenLayer>();
+  }
 };
 
 class ReluLayer : public Layer {
@@ -191,6 +194,9 @@ class ReluLayer : public Layer {
   }
   Tensor backward(const Tensor&) override {
     throw std::logic_error("ReluLayer: inference-only");
+  }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<ReluLayer>();
   }
 };
 

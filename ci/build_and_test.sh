@@ -37,8 +37,10 @@ run_suite "${BUILD_DIR}" Release
 run_suite "${DEBUG_BUILD_DIR}" Debug
 
 # Optional ThreadSanitizer pass over the pool-heavy tests (Debug +
-# -fsanitize=thread via -DQAVAT_TSAN=ON). Probed at runtime: hosts whose
-# toolchain lacks the TSan runtime skip gracefully instead of failing.
+# -fsanitize=thread via -DQAVAT_TSAN=ON). test_eval_batched covers the
+# evaluator's chip lanes: whole model forwards on several pool workers at
+# once. Probed at runtime: hosts whose toolchain lacks the TSan runtime
+# skip gracefully instead of failing.
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${REPO_ROOT}/build-tsan}"
 TSAN_PROBE="$(mktemp -d)"
 trap 'rm -rf "${TSAN_PROBE}"' EXIT
@@ -49,12 +51,13 @@ if "${CXX:-c++}" -fsanitize=thread "${TSAN_PROBE}/probe.cc" \
   cmake -B "${TSAN_BUILD_DIR}" -S "${REPO_ROOT}" \
         -DCMAKE_BUILD_TYPE=Debug -DQAVAT_TSAN=ON
   cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
-        --target test_gemm test_conv_ops test_thread_pool
-  for t in test_gemm test_conv_ops test_thread_pool; do
+        --target test_gemm test_conv_ops test_thread_pool test_eval_batched
+  for t in test_gemm test_conv_ops test_thread_pool test_eval_batched; do
     echo "-- tsan ${t} --"
     QAVAT_FAST=1 QAVAT_STORE=0 QAVAT_THREADS=4 "${TSAN_BUILD_DIR}/${t}"
   done
-  echo "tsan: OK (test_gemm test_conv_ops test_thread_pool, QAVAT_THREADS=4)"
+  echo "tsan: OK (test_gemm test_conv_ops test_thread_pool" \
+       "test_eval_batched, QAVAT_THREADS=4)"
 else
   echo "tsan: toolchain has no usable ThreadSanitizer runtime - skipped"
 fi

@@ -1,7 +1,5 @@
 #include "core/models/models.h"
 
-#include <cassert>
-
 #include "tensor/conv_ops.h"
 #include "tensor/parallel_for.h"
 
@@ -36,6 +34,9 @@ class ReluLayer : public Layer {
     });
     return gx;
   }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<ReluLayer>();
+  }
 
  private:
   Tensor mask_;
@@ -58,6 +59,9 @@ class MaxPool2dLayer : public Layer {
     maxpool2d_backward(gy, arg_, in_shape_, gx);
     return gx;
   }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<MaxPool2dLayer>(k_);
+  }
 
  private:
   index_t k_;
@@ -78,6 +82,9 @@ class FlattenLayer : public Layer {
     gx.reshape(in_shape_);
     return gx;
   }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<FlattenLayer>();
+  }
 
  private:
   std::vector<index_t> in_shape_;
@@ -96,6 +103,13 @@ class ResidualBlock : public Layer {
                                             rng);
     }
   }
+  // Replica copy behind clone(): the convs copy as QuantConv2d replicas;
+  // the ReLU masks start empty.
+  ResidualBlock(const ResidualBlock& src)
+      : Layer(),
+        conv1_(src.conv1_),
+        conv2_(src.conv2_),
+        proj_(src.proj_ ? std::make_unique<QuantConv2d>(*src.proj_) : nullptr) {}
 
   Tensor forward(const Tensor& x) override {
     Tensor h = conv1_.forward(x);
@@ -147,6 +161,9 @@ class ResidualBlock : public Layer {
     conv1_.set_training(training);
     conv2_.set_training(training);
     if (proj_) proj_->set_training(training);
+  }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<ResidualBlock>(*this);
   }
   void set_workspace(Workspace* ws) override {
     conv1_.set_workspace(ws);
@@ -273,22 +290,9 @@ std::unique_ptr<Module> make_model(ModelKind kind, const ModelConfig& cfg) {
   return m;
 }
 
-std::unique_ptr<Module> clone_model(Module& model) {
-  auto copy = make_model(model.kind(), model.config());
-  auto src_params = model.parameters();
-  auto dst_params = copy->parameters();
-  assert(src_params.size() == dst_params.size());
-  for (std::size_t i = 0; i < src_params.size(); ++i) {
-    assert(dst_params[i]->value.size() == src_params[i]->value.size());
-    dst_params[i]->value = src_params[i]->value;
-  }
-  auto src_q = model.quant_layers();
-  auto dst_q = copy->quant_layers();
-  for (std::size_t i = 0; i < src_q.size(); ++i) {
-    dst_q[i]->set_weight_scale(src_q[i]->weight_scale());
-    dst_q[i]->act_quantizer().set_scale(src_q[i]->act_quantizer().scale());
-    dst_q[i]->set_quant_enabled(src_q[i]->quant_enabled());
-  }
+std::unique_ptr<Module> clone_model(const Module& model) {
+  auto copy = std::make_unique<Module>(model.kind(), model.config());
+  for (const auto& layer : model.layers_) copy->add_layer(layer->clone());
   // Clones start in eval mode so a forward is bit-identical to the source
   // (training mode would EMA-update the activation scales).
   copy->set_training(false);

@@ -62,6 +62,8 @@ class Module {
   Workspace& workspace() { return workspace_; }
 
  private:
+  friend std::unique_ptr<Module> clone_model(const Module& model);
+
   ModelKind kind_;
   ModelConfig cfg_;
   std::vector<std::unique_ptr<Layer>> layers_;
@@ -70,9 +72,13 @@ class Module {
 
 std::unique_ptr<Module> make_model(ModelKind kind, const ModelConfig& cfg);
 
-/// Deep copy: fresh make_model + parameter values, weight scales and
-/// activation scales copied over. Used by the experiment model cache.
-std::unique_ptr<Module> clone_model(Module& model);
+/// Deep copy, layer by layer (Layer::clone): same kind, config,
+/// structure, parameter values and calibration, so a forward is
+/// bit-identical to the source's — for zoo models and hand-built stacks
+/// alike. Gradients, optimizer moments, noise realizations and installed
+/// backends are not copied; the clone starts in eval mode. Each of the
+/// evaluator's chip lanes runs on one.
+std::unique_ptr<Module> clone_model(const Module& model);
 
 /// All quant layers in forward order (free-function form used by benches).
 std::vector<QuantLayerBase*> quant_layers(Module& m);

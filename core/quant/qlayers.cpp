@@ -92,6 +92,20 @@ QuantLayerBase::QuantLayerBase(index_t fan_in, index_t fan_out, index_t a_bits,
   bias_.value.resize({fan_out});
 }
 
+QuantLayerBase::QuantLayerBase(const QuantLayerBase& src)
+    : Layer(),
+      fan_in_(src.fan_in_),
+      fan_out_(src.fan_out_),
+      a_bits_(src.a_bits_),
+      w_bits_(src.w_bits_),
+      w_scale_(src.w_scale_),
+      quant_enabled_(src.quant_enabled_),
+      reparam_(src.reparam_),
+      act_quant_(src.act_quant_) {
+  weight_.value = src.weight_.value;
+  bias_.value = src.bias_.value;
+}
+
 void QuantLayerBase::refresh_weight_scale() {
   w_scale_ = mmse_scale(weight_.value, w_bits_);
 }
@@ -332,6 +346,8 @@ QuantLinear::QuantLinear(index_t in, index_t out, index_t a_bits, index_t w_bits
   fill_normal(weight_.value, rng, 0.0, std::sqrt(2.0 / static_cast<double>(in)));
 }
 
+QuantLinear::QuantLinear(const QuantLinear& src) : QuantLayerBase(src) {}
+
 Tensor QuantLinear::forward(const Tensor& x) {
   if (x.ndim() != 2 || x.dim(1) != fan_in_) {
     throw std::invalid_argument("QuantLinear::forward: input must be {rows, " +
@@ -410,6 +426,14 @@ QuantConv2d::QuantConv2d(index_t in_channels, index_t out_channels, index_t kern
   fill_normal(weight_.value, rng,
               0.0, std::sqrt(2.0 / static_cast<double>(fan_in_)));
 }
+
+QuantConv2d::QuantConv2d(const QuantConv2d& src)
+    : QuantLayerBase(src),
+      in_channels_(src.in_channels_),
+      out_channels_(src.out_channels_),
+      kernel_(src.kernel_),
+      stride_(src.stride_),
+      pad_(src.pad_) {}
 
 Tensor QuantConv2d::forward(const Tensor& x) {
   if (x.ndim() != 4 || x.dim(1) != in_channels_) {

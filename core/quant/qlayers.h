@@ -127,6 +127,12 @@ class Layer {
   virtual ~Layer() = default;
   virtual Tensor forward(const Tensor& x) = 0;
   virtual Tensor backward(const Tensor& grad_out) = 0;
+  /// Independent replica for clone_model: same structure, parameter
+  /// values and calibration (weight/activation scales, quant gates), but
+  /// fresh everything else — no forward caches, gradients, optimizer
+  /// moments, noise realization, installed backend or workspace wiring —
+  /// and the default (training) mode, like a newly built layer.
+  virtual std::unique_ptr<Layer> clone() const = 0;
   virtual void collect_params(std::vector<Param*>& out) {}
   virtual void collect_quant(std::vector<QuantLayerBase*>& out) {}
   virtual void set_training(bool training) { training_ = training; }
@@ -254,6 +260,11 @@ class QuantLayerBase : public Layer {
     return analog_backend_ != nullptr && !training_ && quant_enabled_ &&
            act_quant_.calibrated() && analog_backend_->wants_raw_activations();
   }
+  /// Replica constructor behind clone(): copies the shape, bit widths,
+  /// parameter values, weight scale, activation quantizer and the quant /
+  /// reparam gates; every other member starts as in a new layer.
+  QuantLayerBase(const QuantLayerBase& src);
+  QuantLayerBase& operator=(const QuantLayerBase&) = delete;
   /// Analog MVM of the (possibly chip-grouped) 2-D activations against
   /// the effective weights, plus the self-tuning correction: dispatches
   /// the plain / grouped / shared NT GEMM and feeds the LTM row sums
@@ -300,9 +311,15 @@ class QuantLayerBase : public Layer {
 class QuantLinear : public QuantLayerBase {
  public:
   QuantLinear(index_t in, index_t out, index_t a_bits, index_t w_bits, Rng& rng);
+  /// Replica copy (see QuantLayerBase's copy constructor); the quantized
+  /// input cache starts empty.
+  QuantLinear(const QuantLinear& src);
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<QuantLinear>(*this);
+  }
 
  private:
   Tensor xq_;  // quantized input of the last forward
@@ -321,9 +338,15 @@ class QuantConv2d : public QuantLayerBase {
   QuantConv2d(index_t in_channels, index_t out_channels, index_t kernel,
               index_t stride, index_t pad, index_t a_bits, index_t w_bits,
               Rng& rng);
+  /// Replica copy (see QuantLayerBase's copy constructor); the im2col
+  /// forward cache starts empty.
+  QuantConv2d(const QuantConv2d& src);
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<QuantConv2d>(*this);
+  }
 
   index_t out_size(index_t in) const { return (in + 2 * pad_ - kernel_) / stride_ + 1; }
 

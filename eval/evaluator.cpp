@@ -1,6 +1,7 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -31,25 +32,6 @@ Stats Stats::from(const std::vector<double>& xs) {
 }
 
 namespace {
-
-double accuracy_on(Module& model, const Dataset& test, index_t max_samples,
-                   index_t batch_size) {
-  const index_t n = std::min<index_t>(test.size(), max_samples);
-  if (n <= 0) return 0.0;
-  index_t correct = 0;
-  for (index_t start = 0; start < n; start += batch_size) {
-    const index_t end = std::min(n, start + batch_size);
-    std::vector<index_t> idx(static_cast<std::size_t>(end - start));
-    for (index_t i = start; i < end; ++i) idx[static_cast<std::size_t>(i - start)] = i;
-    Tensor x = test.gather_images(idx);
-    std::vector<index_t> y = test.gather_labels(idx);
-    Tensor logits = model.forward(x);
-    index_t hits = 0;
-    softmax_xent(logits, y, nullptr, &hits);
-    correct += hits;
-  }
-  return static_cast<double>(correct) / static_cast<double>(n);
-}
 
 void clear_all_noise(Module& model) {
   for (QuantLayerBase* q : model.quant_layers()) q->noise_state().clear();
@@ -120,23 +102,25 @@ void prepare_noise_group(std::vector<QuantLayerBase*>& qlayers,
   }
 }
 
-// Accuracy of `nb` chips in one pass: every test chunk is tiled chip-major
-// to {nb*rows, ...} and sent through a single noise-batched forward, so
-// each chip's logits are bit-identical to a sequential single-chip
-// forward. The chunk is batch_size / nb test rows, keeping the tiled
-// forward the same size as a sequential batch — larger tiles thrash the
-// cache on the un-pooled CNN activations and erase the batching win. The
-// chunking does not affect results: every per-row computation (quantize,
-// im2col, GEMM row bands anchored at each chip's row 0, pooling, softmax
-// argmax) is independent of how many rows share a forward.
+// Accuracy of the `nb` chips realized in `model`'s noise slots (nb == 1:
+// the scalar single-chip state or an installed circuit backend), in one
+// pass: every test chunk is tiled chip-major to {nb*rows, ...} and sent
+// through a single noise-batched forward, so each chip's logits are
+// bit-identical to a sequential single-chip forward. The chunk is
+// lane_rows / nb test rows, keeping the tiled forward the size of one
+// lane's share of batch_size — larger tiles thrash the cache on the
+// un-pooled CNN activations and erase the batching win. The chunking does
+// not affect results: every per-row computation (quantize, im2col, GEMM
+// row bands anchored at each chip's row 0, pooling, softmax argmax) is
+// independent of how many rows share a forward.
 void accuracy_batched(Module& model, const Dataset& test, const EvalConfig& ecfg,
-                      index_t nb, double* out_accs) {
+                      index_t lane_rows, index_t nb, double* out_accs) {
   const index_t n = std::min<index_t>(test.size(), ecfg.max_test_samples);
   if (n <= 0) {
     for (index_t b = 0; b < nb; ++b) out_accs[b] = 0.0;
     return;
   }
-  const index_t chunk = std::max<index_t>(1, ecfg.batch_size / nb);
+  const index_t chunk = std::max<index_t>(1, lane_rows / nb);
   std::vector<index_t> correct(static_cast<std::size_t>(nb), 0);
   // Chunk-loop scratch hoisted out of the loop: every chunk of a group
   // (and every group of a run) reuses the same buffers.
@@ -173,23 +157,22 @@ void accuracy_batched(Module& model, const Dataset& test, const EvalConfig& ecfg
 
 constexpr index_t kDefaultChipBatch = 8;
 
-// Circuit-level Monte-Carlo path: chip c is a PimChip(seed, c) — the same
-// Rng identity as the weight-domain draw, so both backends realize the
-// same per-chip eps_B — whose programming noise lives in the tiled
-// crossbar conductances instead of NoiseState::eps. Each quant layer's
-// quantized weights program one TiledCrossbarLayer (<= tile x tile arrays
-// with per-array GTM spare columns when self-tuning) installed as the
-// layer's AnalogBackend; the forward then runs the normal pipeline with
-// every analog MVM routed through pim/. Sequential by construction:
-// programming per chip dominates, so the noise-batch axis would not pay.
-EvalStats evaluate_circuit(Module& model, const Dataset& test,
+// Circuit-level lane: chip c is a PimChip(seed, c) — the same Rng identity
+// as the weight-domain draw, so both backends realize the same per-chip
+// eps_B — whose programming noise lives in the tiled crossbar
+// conductances instead of NoiseState::eps. Each quant layer's quantized
+// weights program one TiledCrossbarLayer (<= tile x tile arrays with
+// per-array GTM spare columns when self-tuning) installed as the layer's
+// AnalogBackend; the forward then runs the normal pipeline with every
+// analog MVM routed through pim/. Chips run one at a time within the
+// lane (programming per chip dominates, so the noise-batch axis would
+// not pay); lanes program their chips concurrently.
+void evaluate_circuit_lane(Module& replica, const Dataset& test,
                            const VariabilityConfig& vcfg,
-                           const EvalConfig& ecfg, const SelfTuneConfig* st) {
-  auto qlayers = model.quant_layers();
-  // Start from a pristine NoiseState: stale batched/self-tune fields left
-  // by a prior caller would otherwise drive apply_correction (the circuit
-  // route is corrective whenever a backend is installed).
-  clear_all_noise(model);
+                           const EvalConfig& ecfg, const SelfTuneConfig* st,
+                           index_t c0, index_t c1, index_t lane_rows,
+                           double* accs) {
+  auto qlayers = replica.quant_layers();
   const index_t tile =
       ecfg.tile_size > 0 ? ecfg.tile_size : tile_size_from_env();
   CrossbarConfig ccfg;
@@ -205,13 +188,13 @@ EvalStats evaluate_circuit(Module& model, const Dataset& test,
     // every point — say so once rather than publish a flat "sweep".
     // Only a non-default value signals a deliberate sweep; the default
     // stays silent so normal tuned runs do not train users to ignore it.
-    static bool warned = false;
-    if (!warned && st->gtm_cells != SelfTuneConfig{}.gtm_cells) {
+    // Concurrent lanes reach this, so the once-flag is an atomic.
+    static std::atomic<bool> warned{false};
+    if (st->gtm_cells != SelfTuneConfig{}.gtm_cells && !warned.exchange(true)) {
       std::fprintf(stderr,
                    "qavat: circuit backend derives GTM cells from tile "
                    "geometry; SelfTuneConfig::gtm_cells (%lld) is ignored\n",
                    static_cast<long long>(st->gtm_cells));
-      warned = true;
     }
   }
 
@@ -227,22 +210,11 @@ EvalStats evaluate_circuit(Module& model, const Dataset& test,
     wmax.push_back(wd.back().abs_max());
   }
 
-  // Whatever unwinds out of programming or a forward (bad_alloc on a big
-  // tile grid, a shape error mid-eval), the model must never keep a
-  // pointer to a destroyed backend or half-installed tuning state.
-  struct BackendGuard {
-    std::vector<QuantLayerBase*>& layers;
-    Module& model;
-    ~BackendGuard() {
-      for (QuantLayerBase* q : layers) q->set_analog_backend(nullptr);
-      clear_all_noise(model);
-    }
-  } guard{qlayers, model};
-
-  std::vector<double> accs;
-  accs.reserve(static_cast<std::size_t>(std::max<index_t>(0, ecfg.n_chips)));
+  // Each chip's arrays replace the previous chip's before any forward
+  // runs; the last set is destroyed on return, before the replica that
+  // still points at it.
   std::vector<std::unique_ptr<TiledCrossbarLayer>> tiled;
-  for (index_t chip_idx = 0; chip_idx < ecfg.n_chips; ++chip_idx) {
+  for (index_t chip_idx = c0; chip_idx < c1; ++chip_idx) {
     PimChip chip(ccfg, ecfg.seed, chip_idx);
     tiled.clear();
     tiled.reserve(qlayers.size());
@@ -252,7 +224,7 @@ EvalStats evaluate_circuit(Module& model, const Dataset& test,
       QuantLayerBase* q = qlayers[i];
       auto t = std::make_unique<TiledCrossbarLayer>(
           chip, wd[i], TilePlan::make(q->fan_out(), q->fan_in(), tile), tune,
-          &model.workspace());
+          &replica.workspace());
       if (tune) {
         gtm_sum += t->measured_eps_b() *
                    static_cast<double>(t->total_gtm_cells());
@@ -283,17 +255,75 @@ EvalStats evaluate_circuit(Module& model, const Dataset& test,
         ++ns.revision;
       }
     }
-    accs.push_back(
-        accuracy_on(model, test, ecfg.max_test_samples, ecfg.batch_size));
-    for (QuantLayerBase* q : qlayers) q->set_analog_backend(nullptr);
+    accuracy_batched(replica, test, ecfg, lane_rows, 1, accs + (chip_idx - c0));
   }
-  // (BackendGuard re-clears on scope exit; uninstalling per chip just
-  // keeps no dangling pointer alive across the next chip's programming.)
-  EvalStats stats;
-  stats.accuracy = Stats::from(accs);
-  stats.n_chips = ecfg.n_chips;
-  stats.per_chip_acc = std::move(accs);
-  return stats;
+}
+
+// Weight-domain (and int8) lane: chips [c0, c1) in groups of chip_batch,
+// one noise-batched forward per test chunk per group, or one chip at a
+// time through the scalar NoiseState when chip_batch is 1.
+void evaluate_weight_domain_lane(Module& replica, const Dataset& test,
+                                 const VariabilityConfig& vcfg,
+                                 const EvalConfig& ecfg,
+                                 const SelfTuneConfig* st, index_t chip_batch,
+                                 index_t c0, index_t c1, index_t lane_rows,
+                                 double* accs) {
+  auto qlayers = replica.quant_layers();
+  // Destroyed on return, before the replica whose layers point at them.
+  std::vector<std::unique_ptr<Int8Backend>> int8_backends;
+  if (ecfg.backend == EvalBackend::kInt8) {
+    // Int8 route: install one integer backend per quant layer, then run
+    // the identical weight-domain chip loop below — same Rng(seed, chip)
+    // realizations, same chip batching; only the MVM arithmetic changes.
+    // Each backend re-quantizes its layer's effective weights into packed
+    // planes once per chip group (keyed on the NoiseState revision).
+    int8_backends.reserve(qlayers.size());
+    for (QuantLayerBase* q : qlayers) {
+      int8_backends.push_back(
+          std::make_unique<Int8Backend>(*q, replica.workspace()));
+      q->set_analog_backend(int8_backends.back().get());
+    }
+  }
+  if (chip_batch <= 1) {
+    // Sequential reference path: one chip per pass over the test set.
+    for (index_t chip = c0; chip < c1; ++chip) {
+      Rng rng(ecfg.seed, static_cast<std::uint64_t>(chip));
+      // One correlated deviation per chip, shared by every layer; the GTM
+      // measures it once per chip with cell-averaged error.
+      const double eps_b =
+          vcfg.sigma_b > 0.0 ? rng.normal(0.0, vcfg.sigma_b) : 0.0;
+      const bool tune = st != nullptr && st->mode != SelfTuneMode::kNone;
+      const double eps_hat =
+          tune ? measure_eps_b(eps_b, vcfg.sigma_w, st->gtm_cells, rng) : 0.0;
+      for (QuantLayerBase* q : qlayers) {
+        sample_variability(*q, vcfg, rng);
+        NoiseState& ns = q->noise_state();
+        ns.eps_b = static_cast<float>(eps_b);
+        if (tune) {
+          ns.correction = correction_for(st->mode);
+          ns.eps_hat = static_cast<float>(eps_hat);
+          ns.ltm_err = static_cast<float>(
+              ltm_readout_error(vcfg.sigma_w, st->ltm_columns, rng));
+        }
+      }
+      accuracy_batched(replica, test, ecfg, lane_rows, 1, accs + (chip - c0));
+    }
+    return;
+  }
+  for (index_t chip0 = c0; chip0 < c1; chip0 += chip_batch) {
+    const index_t nb = std::min(chip_batch, c1 - chip0);
+    prepare_noise_group(qlayers, vcfg, st, nb);
+    // Chips draw from independent streams — Rng(seed, chip) — and
+    // sample_chip_into_slot is slot-pure after the prologue, so the
+    // group's chips sample in parallel (a pool job nested under the
+    // lane, like the GEMM dispatches of the batched forward that follows).
+    parallel_for(index_t{0}, nb, index_t{1}, [&](index_t b0, index_t b1) {
+      for (index_t b = b0; b < b1; ++b) {
+        sample_chip_into_slot(qlayers, vcfg, ecfg, st, chip0 + b, b);
+      }
+    });
+    accuracy_batched(replica, test, ecfg, lane_rows, nb, accs + (chip0 - c0));
+  }
 }
 
 }  // namespace
@@ -321,15 +351,15 @@ EvalBackend eval_backend_from_env() {
   if (std::strcmp(v, "circuit") == 0) return EvalBackend::kCircuit;
   if (std::strcmp(v, "int8") == 0) return EvalBackend::kInt8;
   // A typo must not silently publish weight-domain numbers as
-  // "circuit-level" or "int8" ones. Warn once per process, not per call.
-  static bool warned = false;
-  if (!warned) {
+  // "circuit-level" or "int8" ones. Warn once per process, not per call
+  // (and not once per racing thread).
+  static std::atomic<bool> warned{false};
+  if (!warned.exchange(true)) {
     std::fprintf(stderr,
                  "qavat: unrecognized QAVAT_EVAL_BACKEND=\"%s\" "
                  "(expected \"weight_domain\", \"circuit\" or \"int8\"); "
                  "using weight_domain\n",
                  v);
-    warned = true;
   }
   return EvalBackend::kWeightDomain;
 }
@@ -338,93 +368,34 @@ EvalStats evaluate_under_variability(Module& model, const Dataset& test,
                                      const VariabilityConfig& vcfg,
                                      const EvalConfig& ecfg,
                                      const SelfTuneConfig* st) {
-  model.set_training(false);
-  if (ecfg.backend == EvalBackend::kCircuit) {
-    return evaluate_circuit(model, test, vcfg, ecfg, st);
-  }
-  auto qlayers = model.quant_layers();
-  // The int8 backends must outlive the guard below (locals unwind in
-  // reverse order: uninstall first, then destroy the backends).
-  std::vector<std::unique_ptr<Int8Backend>> int8_backends;
-  // Clear the sampled noise state — and uninstall any int8 backends —
-  // however this scope exits: a throw mid-eval (allocation failure, shape
-  // error) must not leave the model with a stale batched realization or a
-  // dangling backend pointer installed — same teardown guarantee the
-  // circuit branch gets from its BackendGuard.
-  struct NoiseGuard {
-    Module& model;
-    std::vector<QuantLayerBase*>* backend_layers = nullptr;
-    ~NoiseGuard() {
-      if (backend_layers != nullptr) {
-        for (QuantLayerBase* q : *backend_layers) q->set_analog_backend(nullptr);
-      }
-      clear_all_noise(model);
-    }
-  } noise_guard{model};
-  if (ecfg.backend == EvalBackend::kInt8) {
-    // Int8 route: install one integer backend per quant layer, then run
-    // the identical weight-domain chip loop below — same Rng(seed, chip)
-    // realizations, same chip batching; only the MVM arithmetic changes.
-    // Each backend re-quantizes its layer's effective weights into packed
-    // planes once per chip group (keyed on the NoiseState revision).
-    int8_backends.reserve(qlayers.size());
-    for (QuantLayerBase* q : qlayers) {
-      int8_backends.push_back(
-          std::make_unique<Int8Backend>(*q, model.workspace()));
-      q->set_analog_backend(int8_backends.back().get());
-    }
-    noise_guard.backend_layers = &qlayers;
-  }
+  // Chip lanes: [0, n_chips) splits into `lanes` contiguous ranges, one
+  // outer pool span each, and every lane drives its own clone of the
+  // caller's model (own NoiseState, Workspace and backends), so the
+  // caller's model is only read. Chip c's realization depends on c alone
+  // (Rng(seed, c) / PimChip(seed, c)), never on its lane or group, so the
+  // per-chip accuracies are bit-identical for any thread count. Each lane
+  // forwards batch_size / lanes test rows at a time, keeping the live
+  // activation rows across lanes at batch_size.
+  const index_t n_chips = std::max<index_t>(0, ecfg.n_chips);
+  const index_t lanes = std::min(num_threads(), n_chips);
+  const index_t lane_rows = ecfg.batch_size / std::max<index_t>(1, lanes);
   index_t chip_batch = ecfg.chip_batch > 0 ? ecfg.chip_batch : kDefaultChipBatch;
-  chip_batch = std::max<index_t>(1, std::min(chip_batch, ecfg.n_chips));
-  std::vector<double> accs;
-  accs.reserve(static_cast<std::size_t>(std::max<index_t>(0, ecfg.n_chips)));
-  if (chip_batch <= 1) {
-    // Sequential reference path: one chip per pass over the test set.
-    for (index_t chip = 0; chip < ecfg.n_chips; ++chip) {
-      Rng rng(ecfg.seed, static_cast<std::uint64_t>(chip));
-      // One correlated deviation per chip, shared by every layer; the GTM
-      // measures it once per chip with cell-averaged error.
-      const double eps_b =
-          vcfg.sigma_b > 0.0 ? rng.normal(0.0, vcfg.sigma_b) : 0.0;
-      const bool tune = st != nullptr && st->mode != SelfTuneMode::kNone;
-      const double eps_hat =
-          tune ? measure_eps_b(eps_b, vcfg.sigma_w, st->gtm_cells, rng) : 0.0;
-      for (QuantLayerBase* q : qlayers) {
-        sample_variability(*q, vcfg, rng);
-        NoiseState& ns = q->noise_state();
-        ns.eps_b = static_cast<float>(eps_b);
-        if (tune) {
-          ns.correction = correction_for(st->mode);
-          ns.eps_hat = static_cast<float>(eps_hat);
-          ns.ltm_err = static_cast<float>(
-              ltm_readout_error(vcfg.sigma_w, st->ltm_columns, rng));
-        }
+  chip_batch = std::max<index_t>(1, std::min(chip_batch, n_chips));
+  std::vector<double> accs(static_cast<std::size_t>(n_chips), 0.0);
+  parallel_for(index_t{0}, lanes, index_t{1}, [&](index_t l0, index_t l1) {
+    for (index_t l = l0; l < l1; ++l) {
+      const index_t c0 = l * n_chips / lanes;
+      const index_t c1 = (l + 1) * n_chips / lanes;
+      const std::unique_ptr<Module> replica = clone_model(model);
+      if (ecfg.backend == EvalBackend::kCircuit) {
+        evaluate_circuit_lane(*replica, test, vcfg, ecfg, st, c0, c1,
+                              lane_rows, accs.data() + c0);
+      } else {
+        evaluate_weight_domain_lane(*replica, test, vcfg, ecfg, st, chip_batch,
+                                    c0, c1, lane_rows, accs.data() + c0);
       }
-      accs.push_back(
-          accuracy_on(model, test, ecfg.max_test_samples, ecfg.batch_size));
     }
-  } else {
-    // Batched path: chips in groups of chip_batch, one noise-batched
-    // forward per test batch per group.
-    for (index_t chip0 = 0; chip0 < ecfg.n_chips; chip0 += chip_batch) {
-      const index_t nb = std::min(chip_batch, ecfg.n_chips - chip0);
-      prepare_noise_group(qlayers, vcfg, st, nb);
-      // Chips draw from independent streams — Rng(seed, chip) — and
-      // sample_chip_into_slot is slot-pure after the prologue, so the
-      // group's chips sample in parallel (an outer pool job above the
-      // nested GEMM dispatches of the subsequent batched forward).
-      parallel_for(index_t{0}, nb, index_t{1}, [&](index_t b0, index_t b1) {
-        for (index_t b = b0; b < b1; ++b) {
-          sample_chip_into_slot(qlayers, vcfg, ecfg, st, chip0 + b, b);
-        }
-      });
-      std::vector<double> group_accs(static_cast<std::size_t>(nb), 0.0);
-      accuracy_batched(model, test, ecfg, nb, group_accs.data());
-      accs.insert(accs.end(), group_accs.begin(), group_accs.end());
-    }
-  }
-  // (NoiseGuard clears the sampled state on scope exit.)
+  });
   EvalStats stats;
   stats.accuracy = Stats::from(accs);
   stats.n_chips = ecfg.n_chips;

@@ -20,11 +20,22 @@
 //    produces bit-identical per-chip accuracies. The circuit backend
 //    shares the same Rng(seed, c) chip identity, so both backends see
 //    the same per-chip eps_B realizations.
+//
+//    Chip lanes: the chips split into min(num_threads(), n_chips)
+//    contiguous ranges run as one outer parallel_for, one lane per pool
+//    thread. Each lane evaluates its range on its own clone_model replica
+//    (own NoiseState, Workspace and int8/crossbar backends) and writes
+//    its slice of per_chip_acc; the kernels of its forwards nest under
+//    the lane as pool sub-jobs. Since a chip's realization depends only
+//    on its index, per-chip accuracies are bit-identical for every thread
+//    count, chip_batch and backend.
 //  * evaluate_under_drift — eps_B(t) follows an OU process; the GTM is
 //    re-measured every `remeasure_interval` steps (0 = factory-time only).
 //
-// Thread-safety: evaluation drives one model from one thread; kernels
-// parallelize internally (QAVAT_THREADS) with bit-identical results.
+// Thread-safety: evaluate_under_variability only reads the caller's
+// model — every lane drives its own clone — so the model must not be
+// mutated (trained, re-scaled) by another thread during the call.
+// evaluate_under_drift drives the model itself, from the calling thread.
 #pragma once
 
 #include "core/models/models.h"
@@ -62,8 +73,9 @@ enum class EvalBackend {
   /// Program each layer's quantized weights across tiled <= 512x512
   /// crossbar arrays (QAVAT_TILE_SIZE) on a simulated PimChip and route
   /// every analog MVM through the circuit simulator; the self-tuning
-  /// eps_hat comes from real per-array GTM spare columns. Sequential
-  /// (chip_batch is ignored) and O(arrays) programming per chip — meant
+  /// eps_hat comes from real per-array GTM spare columns. One chip at a
+  /// time within each chip lane (chip_batch is ignored; lanes program
+  /// their chips concurrently) and O(arrays) programming per chip — meant
   /// for small models and validation runs (DESIGN.md §10).
   kCircuit,
   /// Weight-domain chip realizations (same Rng(seed, chip) draws and
@@ -71,9 +83,12 @@ enum class EvalBackend {
   /// the s8 x s8 -> s32 integer fast path: each chip's effective weights
   /// are re-quantized once into cached int8 planes and multiplied against
   /// the layer's integer activation codes (core/quant/int8_backend.h,
-  /// DESIGN.md §12). 2x+ faster per eval; accuracies match kWeightDomain
-  /// exactly on the noise-free grid and within a benched epsilon under
-  /// injected variability.
+  /// DESIGN.md §12). Not faster on the paper grid: one cold pass over
+  /// the 18 Table-II specs of perfbench's table2_deploy (4-vCPU Xeon,
+  /// QAVAT_THREADS=4, median of 15) takes 2.19 s here against 1.36 s for
+  /// kWeightDomain and 1.37 s for kCircuit. Accuracies match
+  /// kWeightDomain exactly on the noise-free grid and within a benched
+  /// epsilon under injected variability.
   kInt8,
 };
 
@@ -93,12 +108,15 @@ EvalBackend eval_backend_from_env();
 struct EvalConfig {
   index_t n_chips = 25;                ///< simulated chips
   index_t max_test_samples = 1 << 30;  ///< cap on evaluated test samples
-  index_t batch_size = 64;             ///< test rows per forward
+  index_t batch_size = 64;             ///< test rows per forward, shared
+                                       ///< by the concurrent chip lanes
   std::uint64_t seed = 1000;           ///< chip Monte-Carlo seed
   index_t chip_batch = 0;  ///< chips per noise-batched forward; 0 = default
                            ///< (8), 1 = sequential single-chip evaluation.
                            ///< Any value yields identical per-chip results.
-                           ///< Ignored by the circuit backend (sequential).
+                           ///< Groups never span two chip lanes. Ignored
+                           ///< by the circuit backend (one chip at a time
+                           ///< per lane).
   EvalBackend backend = EvalBackend::kWeightDomain;  ///< chip realization
   index_t tile_size = 0;   ///< circuit backend: max crossbar side length;
                            ///< 0 = QAVAT_TILE_SIZE (default 512)

@@ -1,7 +1,12 @@
 // Tier-1: batched Monte-Carlo evaluation must produce per-chip accuracies
 // IDENTICAL to sequential evaluation (same seeds), for every chip_batch,
 // both variance models, with and without self-tuning, and for any thread
-// count. Also covers the eval-only contract of the noise-batch axis.
+// count. Chip lanes (one model clone per thread over a chip range) must
+// keep that identity for every backend, must evaluate hand-built modules
+// as themselves, must surface a lane's exception and must leave the
+// caller's model untouched. Also covers the eval-only contract of the
+// noise-batch axis.
+#include <memory>
 #include <stdexcept>
 
 #include "core/variability/variability.h"
@@ -12,6 +17,23 @@
 using namespace qavat;
 
 namespace {
+
+// Inference-only flatten for the hand-built module below (the zoo's
+// layers are internal to core/models).
+class FlattenLayer : public Layer {
+ public:
+  Tensor forward(const Tensor& x) override {
+    Tensor y = x;
+    y.reshape({x.dim(0), x.size() / x.dim(0)});
+    return y;
+  }
+  Tensor backward(const Tensor&) override {
+    throw std::logic_error("FlattenLayer: inference-only");
+  }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<FlattenLayer>();
+  }
+};
 
 std::unique_ptr<Module> make_test_model(const SplitDataset& data) {
   ModelConfig mcfg;
@@ -87,16 +109,6 @@ int main() {
         CHECK(got.accuracy.mean == ref.accuracy.mean);
         CHECK(got.accuracy.stddev == ref.accuracy.stddev);
       }
-
-      // Thread-count independence of the batched path.
-      const index_t saved = num_threads();
-      set_num_threads(4);
-      EvalConfig batched = base;
-      batched.chip_batch = 3;
-      const EvalStats mt =
-          evaluate_under_variability(*model, data.test, vcfg, batched, st);
-      set_num_threads(saved);
-      CHECK(identical(mt.per_chip_acc, ref.per_chip_acc));
     }
   }
 
@@ -113,6 +125,139 @@ int main() {
     const EvalStats b =
         evaluate_under_variability(*model, data.test, off, bat, &st_gtm);
     CHECK(identical(a.per_chip_acc, b.per_chip_acc));
+  }
+
+  // Chip lanes: evaluate_under_variability splits the chips into
+  // min(threads, n_chips) contiguous lanes, each on its own clone of the
+  // model. Per-chip accuracies must not depend on the lane split, the
+  // chip batch, the backend or its threading — n_chips 1 and 2 give fewer
+  // chips than lanes, 7 a ragged split; both variance models with GTM and
+  // GTM+LTM tuning — and the caller's model must come back without an
+  // installed backend or an active noise state.
+  {
+    struct Deployment {
+      VarianceModel vm;
+      const SelfTuneConfig* st;
+    };
+    const Deployment deployments[] = {
+        {VarianceModel::kWeightProportional, &st_gtm},
+        {VarianceModel::kLayerFixed, &st_ltm}};
+    const EvalBackend backends[] = {EvalBackend::kWeightDomain,
+                                    EvalBackend::kInt8, EvalBackend::kCircuit};
+    const index_t saved = num_threads();
+    for (const Deployment& d : deployments) {
+      const VariabilityConfig vcfg = VariabilityConfig::mixed(d.vm, 0.4);
+      for (EvalBackend backend : backends) {
+        for (index_t n_chips : {index_t{1}, index_t{2}, index_t{7}}) {
+          EvalConfig cfg = base;
+          cfg.backend = backend;
+          cfg.n_chips = n_chips;
+          cfg.max_test_samples = 48;
+          cfg.chip_batch = 1;
+          set_num_threads(1);
+          const EvalStats ref =
+              evaluate_under_variability(*model, data.test, vcfg, cfg, d.st);
+          CHECK(static_cast<index_t>(ref.per_chip_acc.size()) == n_chips);
+          for (index_t threads : {index_t{1}, index_t{2}, index_t{4}}) {
+            set_num_threads(threads);
+            for (index_t cb : {index_t{1}, index_t{3}, index_t{8}}) {
+              cfg.chip_batch = cb;
+              const EvalStats got = evaluate_under_variability(
+                  *model, data.test, vcfg, cfg, d.st);
+              CHECK(identical(got.per_chip_acc, ref.per_chip_acc));
+              CHECK(got.accuracy.mean == ref.accuracy.mean);
+            }
+          }
+        }
+      }
+    }
+    set_num_threads(saved);
+    for (QuantLayerBase* q : model->quant_layers()) {
+      CHECK(q->analog_backend() == nullptr);
+      CHECK(!q->noise_state().active);
+      CHECK(q->noise_state().batch == 1);
+    }
+  }
+
+  // A hand-built module — an MLP carrying the LeNet-5s tag, as the micro
+  // benches build one — must evaluate as itself in every lane: with zero
+  // variability every chip scores the module's own clean accuracy, and
+  // noisy per-chip accuracies do not depend on the thread count.
+  {
+    ModelConfig mcfg;
+    mcfg.num_classes = data.test.num_classes;
+    Rng rng(11);
+    auto mlp = std::make_unique<Module>(ModelKind::kLeNet5s, mcfg);
+    mlp->add_layer(std::make_unique<FlattenLayer>());
+    mlp->add_layer(std::make_unique<QuantLinear>(144, 48, 4, 2, rng));
+    mlp->add_layer(
+        std::make_unique<QuantLinear>(48, mcfg.num_classes, 4, 2, rng));
+    for (QuantLayerBase* q : mlp->quant_layers()) {
+      q->refresh_weight_scale();
+      q->act_quantizer().set_scale(0.25f);
+    }
+    mlp->set_training(false);
+    index_t hits = 0;
+    softmax_xent(mlp->forward(data.test.images), data.test.labels, nullptr,
+                 &hits);
+    const double clean =
+        static_cast<double>(hits) / static_cast<double>(data.test.size());
+
+    const index_t saved = num_threads();
+    set_num_threads(4);
+    EvalConfig cfg = base;
+    cfg.n_chips = 3;
+    const EvalStats off =
+        evaluate_under_variability(*mlp, data.test, VariabilityConfig{}, cfg);
+    CHECK(static_cast<index_t>(off.per_chip_acc.size()) == cfg.n_chips);
+    for (double acc : off.per_chip_acc) CHECK(acc == clean);
+
+    const VariabilityConfig vcfg =
+        VariabilityConfig::mixed(VarianceModel::kWeightProportional, 0.4);
+    for (EvalBackend backend : {EvalBackend::kWeightDomain, EvalBackend::kInt8,
+                                EvalBackend::kCircuit}) {
+      cfg.backend = backend;
+      const EvalStats multi =
+          evaluate_under_variability(*mlp, data.test, vcfg, cfg, &st_gtm);
+      set_num_threads(1);
+      const EvalStats single =
+          evaluate_under_variability(*mlp, data.test, vcfg, cfg, &st_gtm);
+      set_num_threads(4);
+      CHECK(identical(multi.per_chip_acc, single.per_chip_acc));
+    }
+    set_num_threads(saved);
+  }
+
+  // A lane that throws (here: every lane, on images of the wrong size)
+  // must surface the exception to the caller and leave the caller's
+  // model evaluating exactly as before.
+  {
+    SynthDigitsConfig bad_cfg = dcfg;
+    bad_cfg.image_size = 16;
+    const SplitDataset bad = make_synth_digits(bad_cfg);
+    const VariabilityConfig vcfg =
+        VariabilityConfig::mixed(VarianceModel::kLayerFixed, 0.4);
+    const index_t saved = num_threads();
+    set_num_threads(4);
+    for (EvalBackend backend : {EvalBackend::kWeightDomain, EvalBackend::kInt8,
+                                EvalBackend::kCircuit}) {
+      EvalConfig cfg = base;
+      cfg.backend = backend;
+      cfg.max_test_samples = 48;
+      const EvalStats before =
+          evaluate_under_variability(*model, data.test, vcfg, cfg, &st_ltm);
+      bool threw = false;
+      try {
+        evaluate_under_variability(*model, bad.test, vcfg, cfg, &st_ltm);
+      } catch (const std::invalid_argument&) {
+        threw = true;
+      }
+      CHECK(threw);
+      const EvalStats after =
+          evaluate_under_variability(*model, data.test, vcfg, cfg, &st_ltm);
+      CHECK(identical(after.per_chip_acc, before.per_chip_acc));
+    }
+    set_num_threads(saved);
   }
 
   // The noise-batch axis is eval-only: a batched backward must throw, and

@@ -3,6 +3,8 @@
 // probe on a quant linear layer.
 #include "core/models/models.h"
 
+#include <memory>
+
 #include "data/synth.h"
 #include "tests/test_common.h"
 
@@ -57,7 +59,8 @@ int main() {
     Tensor y = model->forward(x);
     CHECK(y.shape() == (std::vector<index_t>{2, 10}));
 
-    // Clone reproduces the forward exactly.
+    // Clone reproduces the forward bit for bit (the evaluator's chip
+    // lanes each run on a clone and must match the source exactly).
     for (QuantLayerBase* q : quant_layers(*model)) {
       q->refresh_weight_scale();
       q->act_quantizer().set_scale(0.05f);
@@ -65,7 +68,42 @@ int main() {
     Tensor y1 = model->forward(x);
     auto copy = clone_model(*model);
     Tensor y2 = copy->forward(x);
-    for (index_t i = 0; i < y1.size(); ++i) CHECK_NEAR(y1[i], y2[i], 1e-6);
+    for (index_t i = 0; i < y1.size(); ++i) CHECK(y1[i] == y2[i]);
+    // The clone mirrors the source layer by layer and owns its weights.
+    const auto src_params = model->parameters();
+    const auto dst_params = copy->parameters();
+    CHECK(src_params.size() == dst_params.size());
+    for (std::size_t i = 0; i < src_params.size() && i < dst_params.size(); ++i) {
+      CHECK(src_params[i]->value.shape() == dst_params[i]->value.shape());
+      CHECK(src_params[i]->value.data() != dst_params[i]->value.data());
+    }
+  }
+
+  // A hand-built stack clones as itself, not as the zoo model its kind
+  // tag names, and carries per-layer calibration and quant gates.
+  {
+    ModelConfig mcfg;
+    Rng rng(9);
+    auto mlp = std::make_unique<Module>(ModelKind::kLeNet5s, mcfg);
+    mlp->add_layer(std::make_unique<QuantLinear>(20, 16, 4, 2, rng));
+    mlp->add_layer(std::make_unique<QuantLinear>(16, 10, 4, 2, rng));
+    auto qs = quant_layers(*mlp);
+    qs[0]->refresh_weight_scale();
+    qs[0]->act_quantizer().set_scale(0.1f);
+    qs[1]->set_quant_enabled(false);
+    mlp->set_training(false);
+    Tensor x({3, 20});
+    fill_uniform(x, rng, 0.0, 1.0);
+    Tensor y1 = mlp->forward(x);
+    auto copy = clone_model(*mlp);
+    auto cq = quant_layers(*copy);
+    CHECK(cq.size() == 2);
+    CHECK(copy->parameter_count() == mlp->parameter_count());
+    CHECK(cq[0]->weight_scale() == qs[0]->weight_scale());
+    CHECK(!cq[1]->quant_enabled());
+    Tensor y2 = copy->forward(x);
+    CHECK(y2.shape() == y1.shape());
+    for (index_t i = 0; i < y1.size(); ++i) CHECK(y1[i] == y2[i]);
   }
 
   // Finite-difference gradient probe on a float (quant-disabled) linear
