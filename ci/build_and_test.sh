@@ -37,10 +37,12 @@ run_suite "${BUILD_DIR}" Release
 run_suite "${DEBUG_BUILD_DIR}" Debug
 
 # Optional ThreadSanitizer pass over the pool-heavy tests (Debug +
-# -fsanitize=thread via -DQAVAT_TSAN=ON). test_eval_batched covers the
-# evaluator's chip lanes: whole model forwards on several pool workers at
-# once. Probed at runtime: hosts whose toolchain lacks the TSan runtime
-# skip gracefully instead of failing.
+# -fsanitize=thread via -DQAVAT_TSAN=ON). test_eval_batched and
+# test_lifetime cover the evaluator's and the fleet's chip lanes: whole
+# model forwards on several pool workers at once. test_lifetime runs on
+# its own private store and needs persistence, so it keeps the store on.
+# Probed at runtime: hosts whose toolchain lacks the TSan runtime skip
+# gracefully instead of failing.
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${REPO_ROOT}/build-tsan}"
 TSAN_PROBE="$(mktemp -d)"
 trap 'rm -rf "${TSAN_PROBE}"' EXIT
@@ -51,13 +53,17 @@ if "${CXX:-c++}" -fsanitize=thread "${TSAN_PROBE}/probe.cc" \
   cmake -B "${TSAN_BUILD_DIR}" -S "${REPO_ROOT}" \
         -DCMAKE_BUILD_TYPE=Debug -DQAVAT_TSAN=ON
   cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
-        --target test_gemm test_conv_ops test_thread_pool test_eval_batched
-  for t in test_gemm test_conv_ops test_thread_pool test_eval_batched; do
+        --target test_gemm test_conv_ops test_thread_pool test_eval_batched \
+                 test_lifetime
+  for t in test_gemm test_conv_ops test_thread_pool test_eval_batched \
+           test_lifetime; do
     echo "-- tsan ${t} --"
-    QAVAT_FAST=1 QAVAT_STORE=0 QAVAT_THREADS=4 "${TSAN_BUILD_DIR}/${t}"
+    store=0
+    if [[ "${t}" == test_lifetime ]]; then store=1; fi
+    QAVAT_FAST=1 QAVAT_STORE="${store}" QAVAT_THREADS=4 "${TSAN_BUILD_DIR}/${t}"
   done
   echo "tsan: OK (test_gemm test_conv_ops test_thread_pool" \
-       "test_eval_batched, QAVAT_THREADS=4)"
+       "test_eval_batched test_lifetime, QAVAT_THREADS=4)"
 else
   echo "tsan: toolchain has no usable ThreadSanitizer runtime - skipped"
 fi

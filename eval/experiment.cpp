@@ -89,45 +89,6 @@ LoadedModel load_model_from_store(const std::string& key, ModelKind kind,
   return out;
 }
 
-// One claim-or-load round trip shared by every read-through cache: loop
-// probing the artifact (probe() returns true on a valid hit) and trying
-// to claim the right to produce it, backing off exponentially while
-// another process holds the lease. Exits in one of two states: `loaded`
-// (another producer published while we waited — nothing to compute), or
-// not loaded with either the claim held or the store
-// disabled/corrupt/claim-less — in all of which this process computes
-// the unit itself (fail-soft: never blocks on a store that cannot
-// deliver). The loop only continues while store_try_claim reports a
-// live lease (kBusy); a store where claims can never be created
-// (kUnavailable: read-only root, EACCES, persistent ENOSPC) falls
-// through to local compute instead of spinning forever. `saw_corrupt`
-// records whether any probe hit a corrupt (now quarantined) artifact,
-// so the caller can count the recompute as a retrain-after-corruption.
-struct ClaimWait {
-  StoreClaim claim;
-  bool loaded = false;
-  bool saw_corrupt = false;
-};
-
-ClaimWait claim_or_load(const char* bucket, const std::string& key,
-                        const std::function<bool(StoreLoadOutcome*)>& probe) {
-  ClaimWait cw;
-  for (int attempt = 0;; ++attempt) {
-    StoreLoadOutcome outcome = StoreLoadOutcome::kMiss;
-    if (probe(&outcome)) {
-      cw.loaded = true;
-      return cw;
-    }
-    if (outcome == StoreLoadOutcome::kCorrupt) cw.saw_corrupt = true;
-    if (!store_enabled()) return cw;
-    StoreClaimStatus status = StoreClaimStatus::kBusy;
-    cw.claim = store_try_claim(bucket, key, &status);
-    if (cw.claim.held()) return cw;
-    if (status == StoreClaimStatus::kUnavailable) return cw;
-    store_claim_backoff_wait(attempt);
-  }
-}
-
 ModelSnapshot snapshot(Module& model, double clean_acc) {
   ModelSnapshot s;
   s.kind = model.kind();

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <memory>
 #include <stdexcept>
 
 #include "eval/store.h"
@@ -79,48 +79,27 @@ struct ScalarCursor {
     *v = s[i++].second;
     return true;
   }
+  // A count or step: a finite, integral, non-negative double no larger
+  // than 2^53 (beyond which doubles stop representing every integer).
+  // Checked before the cast, which is undefined for NaN and out-of-range
+  // values.
   bool next_index(const std::string& name, index_t* v) {
     double d = 0.0;
     if (!next(name, &d)) return false;
+    if (!(d >= 0.0 && d <= 9007199254740992.0) || d != std::floor(d)) {
+      return false;
+    }
     *v = static_cast<index_t>(d);
     return true;
   }
+  std::size_t left() const { return s.size() - i; }
 };
 
-// ------------------------------------------------------ claim-or-load
-
-// Same round-trip the read-through caches in eval/experiment.cpp run:
-// probe the artifact, try to claim production, back off while another
-// live process holds the lease; fall through to local compute when the
-// store is disabled or claims cannot exist (kUnavailable).
-struct ClaimWait {
-  StoreClaim claim;
-  bool loaded = false;
-};
-
-ClaimWait claim_or_load(const char* bucket, const std::string& key,
-                        const std::function<bool(StoreLoadOutcome*)>& probe) {
-  ClaimWait cw;
-  for (int attempt = 0;; ++attempt) {
-    StoreLoadOutcome outcome = StoreLoadOutcome::kMiss;
-    if (probe(&outcome)) {
-      cw.loaded = true;
-      return cw;
-    }
-    if (!store_enabled()) return cw;
-    StoreClaimStatus status = StoreClaimStatus::kBusy;
-    cw.claim = store_try_claim(bucket, key, &status);
-    if (cw.claim.held()) return cw;
-    if (status == StoreClaimStatus::kUnavailable) return cw;
-    store_claim_backoff_wait(attempt);
-  }
-}
+// Scalars each trajectory row and each chip occupies in a snapshot.
+constexpr index_t kRowScalars = 9;
+constexpr index_t kChipScalars = 7;
 
 // --------------------------------------------------------- eval helpers
-
-void clear_all_noise(Module& model) {
-  for (QuantLayerBase* q : model.quant_layers()) q->noise_state().clear();
-}
 
 // Serial per-group prologue, the fleet variant of the evaluator's
 // prepare_noise_group: size the batched state and apply the
@@ -253,7 +232,12 @@ bool FleetSnapshot::from_state_dict(const StateDict& sd,
       key_lo != static_cast<double>(fp & 0xffffffffULL)) {
     return false;
   }
-  if (s.n_chips < 0 || n_rows < 0 || s.completed_steps < 0) return false;
+  // The counts size the allocations below, so they must be backed by
+  // the scalars actually present (both are <= 2^53: no overflow).
+  if (kRowScalars * n_rows + kChipScalars * s.n_chips >
+      static_cast<index_t>(cur.left())) {
+    return false;
+  }
   s.rows.resize(static_cast<std::size_t>(n_rows));
   for (std::size_t r = 0; r < s.rows.size(); ++r) {
     FleetCheckpoint& row = s.rows[r];
@@ -363,8 +347,7 @@ FleetRunResult FleetEvaluator::run(const FleetStudySpec& spec) {
   // newest partial snapshot, which may have advanced while we waited.
   TrainedModel tm = session_.train_model(spec.scenario);
   res.trained = tm.trained;
-  Module& model = *tm.model;
-  model.set_training(false);
+  const Module& model = *tm.model;
   const Dataset& test = session_.dataset(spec.scenario.model).test;
 
   std::vector<ChipLifetimeState> chips(nc);
@@ -393,6 +376,7 @@ FleetRunResult FleetEvaluator::run(const FleetStudySpec& spec) {
     return res;
   }
   res.resumed_from_step = start_step;
+  if (cw.saw_corrupt) store_note_retrain_after_corruption();
 
   const LifetimeModel lm(lt);
   if (start_step == 0) {
@@ -404,14 +388,6 @@ FleetRunResult FleetEvaluator::run(const FleetStudySpec& spec) {
                    }
                  });
   }
-
-  auto qlayers = model.quant_layers();
-  // Clear the sampled state however this scope exits (throw included) —
-  // the session's cached model clone must not leak a stale realization.
-  struct NoiseGuard {
-    Module& model;
-    ~NoiseGuard() { clear_all_noise(model); }
-  } guard{model};
 
   const VariabilityConfig within =
       VariabilityConfig::within_only(lt.drift.model, lt.drift.sigma_w);
@@ -425,105 +401,134 @@ FleetRunResult FleetEvaluator::run(const FleetStudySpec& spec) {
   const index_t chunk = std::max<index_t>(1, lt.batch_size / chip_batch);
   const bool progress = fleet_progress_enabled();
 
-  // Per-chip window accumulators. Hits are integers and the stale sums
-  // are accumulated per chip in step order, so every cross-chip
-  // reduction below runs in chip order — bit-identical results for any
-  // chip_batch and any QAVAT_THREADS.
+  // Chip lanes: [0, n_chips) splits into `lanes` contiguous ranges, the
+  // same split evaluate_under_variability uses, and each lane steps its
+  // chips on its own clone of the trained model (own NoiseState and
+  // Workspace), so the session's model is only read. Lanes are cloned
+  // once per run and reused by every window.
+  const index_t lanes = std::min(num_threads(), lt.n_chips);
+  std::vector<std::unique_ptr<Module>> replicas;
+  replicas.reserve(static_cast<std::size_t>(lanes));
+  for (index_t l = 0; l < lanes; ++l) replicas.push_back(clone_model(model));
+
+  // Per-chip window accumulators. A lane writes only its own chips'
+  // entries; hits are integers and the stale sums are accumulated per
+  // chip in step order, so every cross-chip reduction below runs in chip
+  // order — bit-identical results for any lane split, chip_batch and
+  // QAVAT_THREADS.
   std::vector<index_t> win_hits(nc, 0);
   std::vector<double> win_stale(nc, 0.0);
   std::vector<double> win_acc(nc, 0.0);
-  std::vector<index_t> idx, idx_tiled;
-  std::vector<index_t> step_idx;
-  Tensor block;
 
   for (index_t w = start_step / ck; w < n_windows; ++w) {
     const index_t t_first = w * ck + 1;
     const index_t t_last = (w + 1) * ck;
     std::fill(win_hits.begin(), win_hits.end(), index_t{0});
     std::fill(win_stale.begin(), win_stale.end(), 0.0);
-    for (index_t chip0 = 0; chip0 < lt.n_chips; chip0 += chip_batch) {
-      const index_t nb = std::min(chip_batch, lt.n_chips - chip0);
-      prepare_fleet_group(qlayers, within, nb, correction);
-      // Static within-chip field: re-drawn identically for this group
-      // every window from the chip-indexed stream Rng(seed, chip).
-      parallel_for(index_t{0}, nb, index_t{1}, [&](index_t b0, index_t b1) {
-        for (index_t b = b0; b < b1; ++b) {
-          Rng rng(lt.seed, static_cast<std::uint64_t>(chip0 + b));
-          for (QuantLayerBase* q : qlayers) {
-            sample_variability_slot_draws(*q, within, rng, b);
-          }
-        }
-      });
-      for (index_t t = t_first; t <= t_last; ++t) {
-        // Advance + re-tune the group's chips: pure per-chip functions
-        // of (stored state, counter stream), so any partition works.
-        parallel_for(index_t{0}, nb, index_t{1}, [&](index_t b0, index_t b1) {
-          for (index_t b = b0; b < b1; ++b) {
-            ChipLifetimeState& st = chips[static_cast<std::size_t>(chip0 + b)];
-            Rng rng = LifetimeModel::step_rng(lt, chip0 + b, t);
-            lm.advance(&st, rng);
-            lm.maybe_retune(&st, t, rng);
-          }
-        });
-        for (QuantLayerBase* q : qlayers) {
-          NoiseState& ns = q->noise_state();
-          for (index_t b = 0; b < nb; ++b) {
-            const ChipLifetimeState& st =
-                chips[static_cast<std::size_t>(chip0 + b)];
-            ns.eps_b_v[static_cast<std::size_t>(b)] =
-                static_cast<float>(lm.eps_b(st, t));
-            ns.eps_hat_v[static_cast<std::size_t>(b)] =
-                static_cast<float>(st.eps_hat);
-            ns.ltm_err_v[static_cast<std::size_t>(b)] = 0.0f;
-          }
-          if (ns.batch == 1) {
-            // One-chip groups run the scalar forward path — mirror slot
-            // 0 into the scalar fields, as the Monte-Carlo sampler does.
-            ns.eps_b = ns.eps_b_v[0];
-            ns.eps_hat = ns.eps_hat_v[0];
-            ns.ltm_err = ns.ltm_err_v[0];
-          }
-          // eps_b_v is baked into the stacked effective weights, which
-          // cache on the revision — a new drift step needs a new build.
-          ++ns.revision;
-        }
-        for (index_t b = 0; b < nb; ++b) {
-          const ChipLifetimeState& st =
-              chips[static_cast<std::size_t>(chip0 + b)];
-          win_stale[static_cast<std::size_t>(chip0 + b)] +=
-              std::fabs(st.eps_hat - lm.eps_b(st, t));
-        }
-        // Step t evaluates test rows [(t-1)*batch_size, ...) mod n_test
-        // — a pure function of t, so a resumed run sees the same data.
-        const index_t base = (t - 1) * lt.batch_size;
-        for (index_t start = 0; start < rows_per_step; start += chunk) {
-          const index_t end = std::min(rows_per_step, start + chunk);
-          const index_t nrows = end - start;
-          step_idx.resize(static_cast<std::size_t>(nrows));
-          for (index_t i = 0; i < nrows; ++i) {
-            step_idx[static_cast<std::size_t>(i)] = (base + start + i) % n_test;
-          }
-          idx_tiled.clear();
-          idx_tiled.reserve(static_cast<std::size_t>(nb * nrows));
-          for (index_t b = 0; b < nb; ++b) {
-            idx_tiled.insert(idx_tiled.end(), step_idx.begin(), step_idx.end());
-          }
-          Tensor x = test.gather_images(idx_tiled);
-          const std::vector<index_t> y = test.gather_labels(step_idx);
-          Tensor logits = model.forward(x);  // {nb*nrows, classes}
-          const index_t classes = logits.dim(1);
-          block.resize_for_overwrite({nrows, classes});
-          for (index_t b = 0; b < nb; ++b) {
-            std::memcpy(block.data(), logits.data() + b * nrows * classes,
-                        static_cast<std::size_t>(nrows * classes) *
-                            sizeof(float));
-            index_t hits = 0;
-            softmax_xent(block, y, nullptr, &hits);
-            win_hits[static_cast<std::size_t>(chip0 + b)] += hits;
+    // One outer pool span per lane; the group loop's own dispatches and
+    // the forward's kernels nest under it (DESIGN.md §13).
+    parallel_for(index_t{0}, lanes, index_t{1}, [&](index_t l0, index_t l1) {
+      for (index_t l = l0; l < l1; ++l) {
+        const index_t c0 = l * lt.n_chips / lanes;
+        const index_t c1 = (l + 1) * lt.n_chips / lanes;
+        Module& replica = *replicas[static_cast<std::size_t>(l)];
+        std::vector<QuantLayerBase*> qlayers = replica.quant_layers();
+        std::vector<index_t> idx_tiled, step_idx;
+        Tensor block;
+        for (index_t chip0 = c0; chip0 < c1; chip0 += chip_batch) {
+          const index_t nb = std::min(chip_batch, c1 - chip0);
+          prepare_fleet_group(qlayers, within, nb, correction);
+          // Static within-chip field: re-drawn identically for this
+          // group every window from the chip-indexed stream
+          // Rng(seed, chip).
+          parallel_for(index_t{0}, nb, index_t{1}, [&](index_t b0, index_t b1) {
+            for (index_t b = b0; b < b1; ++b) {
+              Rng rng(lt.seed, static_cast<std::uint64_t>(chip0 + b));
+              for (QuantLayerBase* q : qlayers) {
+                sample_variability_slot_draws(*q, within, rng, b);
+              }
+            }
+          });
+          for (index_t t = t_first; t <= t_last; ++t) {
+            // Advance + re-tune the group's chips: pure per-chip
+            // functions of (stored state, counter stream), so any
+            // partition works.
+            parallel_for(index_t{0}, nb, index_t{1},
+                         [&](index_t b0, index_t b1) {
+                           for (index_t b = b0; b < b1; ++b) {
+                             ChipLifetimeState& st =
+                                 chips[static_cast<std::size_t>(chip0 + b)];
+                             Rng rng = LifetimeModel::step_rng(lt, chip0 + b, t);
+                             lm.advance(&st, rng);
+                             lm.maybe_retune(&st, t, rng);
+                           }
+                         });
+            for (QuantLayerBase* q : qlayers) {
+              NoiseState& ns = q->noise_state();
+              for (index_t b = 0; b < nb; ++b) {
+                const ChipLifetimeState& st =
+                    chips[static_cast<std::size_t>(chip0 + b)];
+                ns.eps_b_v[static_cast<std::size_t>(b)] =
+                    static_cast<float>(lm.eps_b(st, t));
+                ns.eps_hat_v[static_cast<std::size_t>(b)] =
+                    static_cast<float>(st.eps_hat);
+                ns.ltm_err_v[static_cast<std::size_t>(b)] = 0.0f;
+              }
+              if (ns.batch == 1) {
+                // One-chip groups run the scalar forward path — mirror
+                // slot 0 into the scalar fields, as the Monte-Carlo
+                // sampler does.
+                ns.eps_b = ns.eps_b_v[0];
+                ns.eps_hat = ns.eps_hat_v[0];
+                ns.ltm_err = ns.ltm_err_v[0];
+              }
+              // eps_b_v is baked into the stacked effective weights,
+              // which cache on the revision — a new drift step needs a
+              // new build.
+              ++ns.revision;
+            }
+            for (index_t b = 0; b < nb; ++b) {
+              const ChipLifetimeState& st =
+                  chips[static_cast<std::size_t>(chip0 + b)];
+              win_stale[static_cast<std::size_t>(chip0 + b)] +=
+                  std::fabs(st.eps_hat - lm.eps_b(st, t));
+            }
+            // Step t evaluates test rows [(t-1)*batch_size, ...) mod
+            // n_test — a pure function of t, so a resumed run sees the
+            // same data.
+            const index_t base = (t - 1) * lt.batch_size;
+            for (index_t start = 0; start < rows_per_step; start += chunk) {
+              const index_t end = std::min(rows_per_step, start + chunk);
+              const index_t nrows = end - start;
+              step_idx.resize(static_cast<std::size_t>(nrows));
+              for (index_t i = 0; i < nrows; ++i) {
+                step_idx[static_cast<std::size_t>(i)] =
+                    (base + start + i) % n_test;
+              }
+              idx_tiled.clear();
+              idx_tiled.reserve(static_cast<std::size_t>(nb * nrows));
+              for (index_t b = 0; b < nb; ++b) {
+                idx_tiled.insert(idx_tiled.end(), step_idx.begin(),
+                                 step_idx.end());
+              }
+              Tensor x = test.gather_images(idx_tiled);
+              const std::vector<index_t> y = test.gather_labels(step_idx);
+              Tensor logits = replica.forward(x);  // {nb*nrows, classes}
+              const index_t classes = logits.dim(1);
+              block.resize_for_overwrite({nrows, classes});
+              for (index_t b = 0; b < nb; ++b) {
+                std::memcpy(block.data(), logits.data() + b * nrows * classes,
+                            static_cast<std::size_t>(nrows * classes) *
+                                sizeof(float));
+                index_t hits = 0;
+                softmax_xent(block, y, nullptr, &hits);
+                win_hits[static_cast<std::size_t>(chip0 + b)] += hits;
+              }
+            }
           }
         }
       }
-    }
+    });
     // Close the window: per-chip window-mean accuracies, distribution
     // across chips, cumulative retunes, mean staleness. All reductions
     // run in chip order (see the accumulator comment above).

@@ -5,11 +5,17 @@
 // and P5/P50/P95 accuracy quantiles plus cumulative retune counts —
 // without ever materializing the N x T accuracy matrix.
 //
-// Execution: chips run in groups of chip_batch through the evaluator's
-// noise-batched forward (one chip-major tiled forward per lifetime step
-// per group); within a group the per-chip lifetime states advance from a
-// parallel_for. Both paths keep the PR 2 contract — results are
-// bit-identical for any QAVAT_THREADS and any chip grouping
+// Execution: each checkpoint window runs as one chip lane per thread —
+// L = min(num_threads(), n_chips) lanes, lane l owning the contiguous
+// chips [l*n/L, (l+1)*n/L), as in evaluate_under_variability. Every lane
+// steps its range on its own clone_model replica (cloned once per run),
+// so the session's model is only read. Within a lane, chips run in
+// groups of chip_batch through the evaluator's noise-batched forward
+// (one chip-major tiled forward per lifetime step per group), and the
+// group's per-chip lifetime states advance from a nested parallel_for.
+// A chip's trajectory is a pure function of (seed, chip, t) and every
+// cross-chip reduction runs in chip order after the lanes join, so
+// results are bit-identical for any QAVAT_THREADS and any chip grouping
 // (QAVAT_FLEET_CHIP_BATCH is result-invariant and therefore not part of
 // any key).
 //
@@ -99,8 +105,10 @@ struct FleetSnapshot {
   StateDict to_state_dict(const std::string& study_key) const;
 
   /// Strict ordered decode: returns false on any missing/renamed field,
-  /// a schema or fingerprint mismatch, or inconsistent counts. Leaves
-  /// *out untouched on failure.
+  /// a schema or fingerprint mismatch, a count or step that is not a
+  /// finite non-negative integer, or counts that need more scalars than
+  /// `sd` holds (checked before anything is allocated). Leaves *out
+  /// untouched on failure.
   static bool from_state_dict(const StateDict& sd,
                               const std::string& study_key,
                               FleetSnapshot* out);
@@ -137,8 +145,9 @@ class FleetEvaluator {
   Session& session_;
 };
 
-/// Chips per noise-batched forward: QAVAT_FLEET_CHIP_BATCH when set
-/// (>= 1), else QAVAT_CHIP_BATCH's default policy (8). Result-invariant.
+/// Chips per noise-batched forward within a chip lane:
+/// QAVAT_FLEET_CHIP_BATCH when set (>= 1), else QAVAT_CHIP_BATCH's
+/// default policy (8). Result-invariant.
 index_t fleet_chip_batch_from_env();
 
 /// Names of the builtin lifetime studies `qavat-fleet emit` offers.

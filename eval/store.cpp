@@ -726,6 +726,25 @@ void store_claim_backoff_wait(int attempt) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
+ClaimWait claim_or_load(const char* bucket, const std::string& key,
+                        const std::function<bool(StoreLoadOutcome*)>& probe) {
+  ClaimWait cw;
+  for (int attempt = 0;; ++attempt) {
+    StoreLoadOutcome outcome = StoreLoadOutcome::kMiss;
+    if (probe(&outcome)) {
+      cw.loaded = true;
+      return cw;
+    }
+    if (outcome == StoreLoadOutcome::kCorrupt) cw.saw_corrupt = true;
+    if (!store_enabled()) return cw;
+    StoreClaimStatus status = StoreClaimStatus::kBusy;
+    cw.claim = store_try_claim(bucket, key, &status);
+    if (cw.claim.held()) return cw;
+    if (status == StoreClaimStatus::kUnavailable) return cw;
+    store_claim_backoff_wait(attempt);
+  }
+}
+
 void store_fault_reload() {
   FaultState& st = fault_state();
   std::lock_guard<std::mutex> lk(st.mu);

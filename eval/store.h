@@ -27,6 +27,7 @@
 // points listed under StoreFault so the recovery paths are testable.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -210,6 +211,31 @@ class StoreClaim {
 /// computing locally.
 StoreClaim store_try_claim(const char* bucket, const std::string& key,
                            StoreClaimStatus* status = nullptr);
+
+/// What claim_or_load() exited with. `loaded`: the probe hit (another
+/// producer published, or the artifact was already there) — nothing to
+/// compute. Otherwise the caller computes the unit itself, with `claim`
+/// held or — store disabled or claims unavailable — without a lease.
+/// `saw_corrupt` records whether any probe hit a corrupt (now
+/// quarantined) artifact, so the caller can count the recompute with
+/// store_note_retrain_after_corruption().
+struct ClaimWait {
+  StoreClaim claim;          ///< the production lease, when acquired
+  bool loaded = false;       ///< a probe hit; nothing to compute
+  bool saw_corrupt = false;  ///< a probe quarantined a corrupt artifact
+};
+
+/// The one claim-or-load round trip every read-through cache (models,
+/// evals, results, fleet snapshots) runs: loop probing the artifact
+/// (`probe` returns true on a valid hit and reports what it observed
+/// through its StoreLoadOutcome*) and trying to claim the right to
+/// produce it, backing off with store_claim_backoff_wait() while another
+/// process holds the lease. Fail-soft: it never blocks on a store that
+/// cannot deliver — a disabled store or a kUnavailable claim (read-only
+/// root, EACCES, persistent ENOSPC) falls through to local compute
+/// instead of spinning forever.
+ClaimWait claim_or_load(const char* bucket, const std::string& key,
+                        const std::function<bool(StoreLoadOutcome*)>& probe);
 
 /// Sleep for the waiter backoff of round `attempt`: exponential
 /// (QAVAT_CLAIM_BACKOFF_MS base, default 25 ms, doubling per round,

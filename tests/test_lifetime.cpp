@@ -3,8 +3,8 @@
 // limits), LifetimeModel event/policy semantics and stream determinism,
 // LifetimeSpec / FleetStudySpec JSON + key contracts, FleetSnapshot
 // round-trip bit-identity, and FleetEvaluator end-to-end: warm-store
-// load, horizon-extension resume == uninterrupted run (bitwise), and
-// chip-batch grouping invariance. Runs against a private temp store
+// load, corrupt-snapshot healing, horizon-extension resume ==
+// uninterrupted run (bitwise), and chip-lane / chip-batch invariance. Runs against a private temp store
 // (QAVAT_STORE_DIR set before any store call, as in test_store.cpp).
 #include <cmath>
 #include <cstdlib>
@@ -19,6 +19,7 @@
 #include "core/variability/lifetime.h"
 #include "eval/fleet.h"
 #include "eval/store.h"
+#include "tensor/parallel_for.h"
 #include "tests/test_common.h"
 
 using namespace qavat;
@@ -597,6 +598,29 @@ void test_snapshot_roundtrip() {
   StateDict with_tensor = sd;
   with_tensor.add_tensor("t", Tensor({1}));
   CHECK(!FleetSnapshot::from_state_dict(with_tensor, key, &wrong));
+
+  // Malformed counts are rejected before they size any allocation:
+  // scalars 3..5 are n_chips, completed_steps and n_rows. NaN, negative,
+  // fractional and out-of-range values never reach the index cast, and
+  // counts larger than the scalars present are refused up front (1e18
+  // rows or 1e12 chips would otherwise be resized into existence).
+  CHECK(sd.scalars[3].first == "n_chips" && sd.scalars[5].first == "n_rows");
+  const double nan = std::nan("");
+  const std::pair<std::size_t, double> bad_counts[] = {
+      {3, nan}, {3, -1.0}, {3, 2.5}, {3, 1e12}, {3, 1e300},
+      {4, nan}, {4, -8.0}, {5, 1e18}, {5, 3.0}, {5, INFINITY}};
+  for (const auto& bc : bad_counts) {
+    StateDict bad = sd;
+    bad.scalars[bc.first].second = bc.second;
+    CHECK(!FleetSnapshot::from_state_dict(bad, key, &wrong));
+  }
+  // A chip block cut at a chip boundary (the last chip's 7 scalars gone)
+  // fails the count check, not a half-filled decode.
+  StateDict short_chips = sd;
+  short_chips.scalars.resize(sd.scalars.size() - 7);
+  CHECK(!FleetSnapshot::from_state_dict(short_chips, key, &wrong));
+  // Failed decodes leave *out untouched.
+  CHECK(wrong.n_chips == 0 && wrong.rows.empty() && wrong.chips.empty());
 }
 
 // ------------------------------------------------------- FleetEvaluator
@@ -681,6 +705,28 @@ void test_fleet_run_and_store(Session& session) {
   CHECK(warm.snapshots_published == 0);
   CHECK(trajectories_equal(warm.trajectory, cold.trajectory));
 
+  // A corrupt published snapshot is quarantined and recomputed, and the
+  // recompute counts as a retrain-after-corruption, exactly as for the
+  // model and eval buckets. The healed trajectory is the cold one.
+  {
+    const fs::path snap = fs::path(store_root()) /
+                          ("v" + std::to_string(kStoreSchemaVersion)) /
+                          (fast_mode() ? "fast" : "full") / kFleetBucket /
+                          store_key_filename(spec.key());
+    CHECK(fs::exists(snap));
+    fs::resize_file(snap, fs::file_size(snap) / 2);
+    const StoreStats s0 = store_stats();
+    const FleetRunResult healed = fleet.run(spec);
+    CHECK(!healed.loaded);
+    CHECK(healed.resumed_from_step == 0);
+    CHECK(healed.snapshots_published == 2);
+    CHECK(trajectories_equal(healed.trajectory, cold.trajectory));
+    const StoreStats s1 = store_stats();
+    CHECK(s1.loads_corrupt == s0.loads_corrupt + 1);
+    CHECK(s1.retrains_after_corruption == s0.retrains_after_corruption + 1);
+    CHECK(fleet.run(spec).loaded);  // healed artifact serves again
+  }
+
   // Horizon extension resumes from the persisted checkpoint: the longer
   // study's first two rows are the short study's rows, bit-identical,
   // and only the new windows were computed and published.
@@ -719,15 +765,45 @@ void test_fleet_run_and_store(Session& session) {
   CHECK(uninterrupted.snapshots_published == 0);
   CHECK(trajectories_equal(uninterrupted.trajectory, ext.trajectory));
 
-  // Chip grouping is result-invariant: any QAVAT_FLEET_CHIP_BATCH gives
-  // the same bits (still store-disabled, so every run recomputes).
-  for (const char* cb : {"1", "2", "5", "64"}) {
-    ::setenv("QAVAT_FLEET_CHIP_BATCH", cb, 1);
-    const FleetRunResult r = fleet.run(longer);
-    CHECK(trajectories_equal(r.trajectory, ext.trajectory));
+  // Chip lanes and grouping are result-invariant: any thread count
+  // (min(threads, n_chips) lanes over contiguous chip ranges) and any
+  // QAVAT_FLEET_CHIP_BATCH give the same bits (still store-disabled, so
+  // every run recomputes). 5 chips split raggedly over 2 and 4 lanes, 3
+  // chips are fewer than 4 lanes, 7 chips split raggedly everywhere; the
+  // 3- and 7-chip references are taken at 1 thread.
+  struct LaneCase {
+    FleetStudySpec spec;
+    FleetTrajectory ref;
+  };
+  std::vector<LaneCase> lane_cases = {{longer, ext.trajectory}};
+  const index_t saved_threads = num_threads();
+  set_num_threads(1);
+  for (index_t n_chips : {index_t{3}, index_t{7}}) {
+    FleetStudySpec s = spec;
+    s.lifetime.n_chips = n_chips;
+    lane_cases.push_back({s, fleet.run(s).trajectory});
+    check_rows_sane(lane_cases.back().ref, s.lifetime.checkpoint_every);
   }
+  for (index_t threads : {index_t{1}, index_t{2}, index_t{4}}) {
+    set_num_threads(threads);
+    for (const char* cb : {"1", "2", "5", "64"}) {
+      ::setenv("QAVAT_FLEET_CHIP_BATCH", cb, 1);
+      for (const LaneCase& lc : lane_cases) {
+        const FleetRunResult r = fleet.run(lc.spec);
+        CHECK(trajectories_equal(r.trajectory, lc.ref));
+      }
+    }
+  }
+  set_num_threads(saved_threads);
   ::unsetenv("QAVAT_FLEET_CHIP_BATCH");
   ::unsetenv("QAVAT_STORE");
+
+  // Lanes step clones: the session's model comes back without a noise
+  // realization in any quant layer.
+  const TrainedModel served = session.train_model(spec.scenario);
+  for (QuantLayerBase* q : served.model->quant_layers()) {
+    CHECK(!q->noise_state().active);
+  }
 
   // Spec validation: a checkpoint interval that does not divide the
   // horizon is rejected up front.
