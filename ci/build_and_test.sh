@@ -67,6 +67,33 @@ if "${CXX:-c++}" -fsanitize=thread "${TSAN_PROBE}/probe.cc" \
 else
   echo "tsan: toolchain has no usable ThreadSanitizer runtime - skipped"
 fi
+
+# Optional ASan+UBSan pass over the decoders of disk and user input
+# (Debug, -fno-sanitize-recover so any report fails the run).
+# test_fuzz_decoders feeds them mutated and deeply nested documents. The
+# flags go through CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS, so the pass
+# needs no CMake option. Probed at runtime like the TSan pass.
+ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${REPO_ROOT}/build-asan}"
+ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
+if "${CXX:-c++}" ${ASAN_FLAGS} "${TSAN_PROBE}/probe.cc" \
+     -o "${TSAN_PROBE}/probe-asan" >/dev/null 2>&1 &&
+   "${TSAN_PROBE}/probe-asan"; then
+  echo "== asan+ubsan (Debug, decoder tests) =="
+  cmake -B "${ASAN_BUILD_DIR}" -S "${REPO_ROOT}" -DCMAKE_BUILD_TYPE=Debug \
+        -DCMAKE_CXX_FLAGS="${ASAN_FLAGS}" \
+        -DCMAKE_EXE_LINKER_FLAGS="${ASAN_FLAGS}"
+  cmake --build "${ASAN_BUILD_DIR}" -j "${JOBS}" \
+        --target test_scenario_json test_lifetime test_fuzz_decoders
+  for t in test_scenario_json test_lifetime test_fuzz_decoders; do
+    echo "-- asan+ubsan ${t} --"
+    store=0
+    if [[ "${t}" == test_lifetime ]]; then store=1; fi
+    QAVAT_FAST=1 QAVAT_STORE="${store}" "${ASAN_BUILD_DIR}/${t}"
+  done
+  echo "asan+ubsan: OK (test_scenario_json test_lifetime test_fuzz_decoders)"
+else
+  echo "asan+ubsan: toolchain has no usable ASan/UBSan runtime - skipped"
+fi
 rm -rf "${TSAN_PROBE}"
 trap - EXIT
 
@@ -79,7 +106,7 @@ trap - EXIT
 # docs fails the build via set -e.
 DOC_HEADERS=(pim/chip.h pim/tiling.h eval/evaluator.h eval/scenario.h
              eval/manifest.h eval/store.h eval/runner.h eval/fleet.h
-             tensor/workspace.h
+             tensor/workspace.h tensor/json.h
              tensor/conv_ops.h tensor/ops.h tensor/serialize.h
              tensor/int_ops.h tensor/thread_pool.h
              core/quant/int8_backend.h core/variability/lifetime.h)

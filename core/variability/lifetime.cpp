@@ -1,15 +1,12 @@
 #include "core/variability/lifetime.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <initializer_list>
-#include <map>
 
 #include "core/selftune/selftune.h"
 
 namespace qavat {
+
+using namespace json;
 
 namespace {
 
@@ -21,20 +18,6 @@ constexpr double kPi = 3.14159265358979323846;
 // Rng(seed, chip)) without any generator state crossing a step boundary.
 constexpr std::uint64_t kInitStreamTag = 0x6c1fe97a73f8d2b5ULL;
 constexpr std::uint64_t kStepStreamStride = 0x9e3779b97f4a7c15ULL;
-
-// Canonical double formatting for keys: stable, short, no locale.
-std::string fmt_g(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
-// Round-trip-exact double formatting for JSON.
-std::string fmt_exact(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 const char* variance_token(VarianceModel m) {
   return m == VarianceModel::kWeightProportional ? "wp" : "lf";
@@ -48,8 +31,6 @@ const char* policy_kind_token(RetunePolicyKind k) {
   }
   return "?";
 }
-
-std::string lld(index_t v) { return std::to_string(static_cast<long long>(v)); }
 
 std::string events_token(const DriftEvents& e) {
   if (!e.any()) return "none";
@@ -80,176 +61,6 @@ std::string policy_token(const RetunePolicy& p) {
       return "thr" + fmt_g(p.budget) + "x" + lld(p.probe_cells);
   }
   return "?";
-}
-
-// ---------------------------------------------------------------- JSON
-// Same minimal recursive-descent parser and typed-reader idiom as
-// eval/scenario.cpp. Duplicated here because core sits below eval in
-// the layer diagram and must not reach up for eval's (file-local)
-// helpers.
-
-void json_kv(std::string& out, const char* k, const std::string& v,
-             bool quote, bool last = false) {
-  out += '"';
-  out += k;
-  out += "\":";
-  if (quote) out += '"';
-  out += v;
-  if (quote) out += '"';
-  if (!last) out += ',';
-}
-
-struct Jv {
-  enum Kind { kBool, kNum, kStr, kObj } kind = kNum;
-  bool b = false;
-  std::string text;  // number text or string value
-  std::map<std::string, Jv> obj;
-
-  const Jv* find(const char* name) const {
-    auto it = obj.find(name);
-    return it == obj.end() ? nullptr : &it->second;
-  }
-  double num() const { return std::strtod(text.c_str(), nullptr); }
-  long long inum() const { return std::strtoll(text.c_str(), nullptr, 10); }
-};
-
-void skip_ws(const char*& p) {
-  while (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r') ++p;
-}
-
-bool parse_string(const char*& p, std::string* out) {
-  if (*p != '"') return false;
-  ++p;
-  out->clear();
-  while (*p != '\0' && *p != '"') {
-    if (*p == '\\') return false;  // to_json never emits escapes
-    out->push_back(*p++);
-  }
-  if (*p != '"') return false;
-  ++p;
-  return true;
-}
-
-bool parse_value(const char*& p, Jv* out) {
-  skip_ws(p);
-  if (*p == '{') {
-    ++p;
-    out->kind = Jv::kObj;
-    skip_ws(p);
-    if (*p == '}') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      skip_ws(p);
-      std::string name;
-      if (!parse_string(p, &name)) return false;
-      skip_ws(p);
-      if (*p != ':') return false;
-      ++p;
-      Jv child;
-      if (!parse_value(p, &child)) return false;
-      out->obj.emplace(std::move(name), std::move(child));
-      skip_ws(p);
-      if (*p == ',') {
-        ++p;
-        continue;
-      }
-      if (*p == '}') {
-        ++p;
-        return true;
-      }
-      return false;
-    }
-  }
-  if (*p == '"') {
-    out->kind = Jv::kStr;
-    return parse_string(p, &out->text);
-  }
-  if (std::strncmp(p, "true", 4) == 0) {
-    out->kind = Jv::kBool;
-    out->b = true;
-    p += 4;
-    return true;
-  }
-  if (std::strncmp(p, "false", 5) == 0) {
-    out->kind = Jv::kBool;
-    out->b = false;
-    p += 5;
-    return true;
-  }
-  const char* start = p;
-  while (*p == '-' || *p == '+' || *p == '.' || *p == 'e' || *p == 'E' ||
-         (*p >= '0' && *p <= '9')) {
-    ++p;
-  }
-  if (p == start) return false;
-  out->kind = Jv::kNum;
-  out->text.assign(start, static_cast<std::size_t>(p - start));
-  return true;
-}
-
-bool fail_field(std::string* err, const char* prefix, const char* name,
-                const std::string& what) {
-  if (err != nullptr && err->empty()) {
-    *err = std::string(prefix) + name + ": " + what;
-  }
-  return false;
-}
-
-bool read_num(const Jv& o, const char* name, double* dst, std::string* err,
-              const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kNum) {
-    return fail_field(err, prefix, name, "expected a number");
-  }
-  *dst = v->num();
-  return true;
-}
-
-bool read_index(const Jv& o, const char* name, index_t* dst, std::string* err,
-                const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kNum) {
-    return fail_field(err, prefix, name, "expected an integer");
-  }
-  *dst = static_cast<index_t>(v->inum());
-  return true;
-}
-
-bool read_u64(const Jv& o, const char* name, std::uint64_t* dst,
-              std::string* err, const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kNum) {
-    return fail_field(err, prefix, name, "expected an integer");
-  }
-  *dst = static_cast<std::uint64_t>(
-      std::strtoull(v->text.c_str(), nullptr, 10));
-  return true;
-}
-
-template <typename E>
-bool read_enum(const Jv& o, const char* name,
-               std::initializer_list<const char*> tokens,
-               std::initializer_list<E> values, E* dst, std::string* err,
-               const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kStr) {
-    return fail_field(err, prefix, name, "expected a string");
-  }
-  auto tok = tokens.begin();
-  auto val = values.begin();
-  for (; tok != tokens.end(); ++tok, ++val) {
-    if (v->text == *tok) {
-      *dst = *val;
-      return true;
-    }
-  }
-  return fail_field(err, prefix, name, "unknown token '" + v->text + "'");
 }
 
 }  // namespace
@@ -311,32 +122,25 @@ std::string LifetimeSpec::to_json() const {
 bool LifetimeSpec::from_json(const std::string& text, LifetimeSpec* out,
                              std::string* error) {
   if (error != nullptr) error->clear();
-  const char* p = text.c_str();
-  Jv root;
-  if (!parse_value(p, &root) || root.kind != Jv::kObj) {
-    if (error != nullptr && error->empty()) *error = "malformed JSON";
-    return false;
-  }
-  skip_ws(p);
-  if (*p != '\0') {
-    if (error != nullptr) *error = "malformed JSON (trailing characters)";
+  Value root;
+  return parse_object(text, &root, error) && from_value(root, out, error);
+}
+
+bool LifetimeSpec::from_value(const Value& root, LifetimeSpec* out,
+                              std::string* error) {
+  if (error != nullptr) error->clear();
+  if (root.kind != Value::kObj) {
+    if (error != nullptr) *error = "expected an object";
     return false;
   }
   std::string* err = error;
 
   LifetimeSpec s;
-  const Jv* schema = root.find("lifetime_schema");
-  if (schema == nullptr || schema->kind != Jv::kNum) {
-    return fail_field(err, "", "lifetime_schema", "missing or not a number");
+  if (!read_schema(root, "lifetime_schema", kLifetimeSchemaVersion, err)) {
+    return false;
   }
-  if (schema->inum() != kLifetimeSchemaVersion) {
-    return fail_field(err, "", "lifetime_schema",
-                      "version mismatch: expected " +
-                          std::to_string(kLifetimeSchemaVersion) + ", got " +
-                          schema->text);
-  }
-  if (const Jv* d = root.find("drift")) {
-    if (d->kind != Jv::kObj) {
+  if (const Value* d = root.find("drift")) {
+    if (d->kind != Value::kObj) {
       return fail_field(err, "", "drift", "expected an object");
     }
     if (!read_enum(*d, "model", {"wp", "lf"},
@@ -349,8 +153,8 @@ bool LifetimeSpec::from_json(const std::string& text, LifetimeSpec* out,
       return false;
     }
   }
-  if (const Jv* e = root.find("events")) {
-    if (e->kind != Jv::kObj) {
+  if (const Value* e = root.find("events")) {
+    if (e->kind != Value::kObj) {
       return fail_field(err, "", "events", "expected an object");
     }
     if (!read_num(*e, "aging_rate", &s.events.aging_rate, err, "events.") ||
@@ -363,8 +167,8 @@ bool LifetimeSpec::from_json(const std::string& text, LifetimeSpec* out,
       return false;
     }
   }
-  if (const Jv* pl = root.find("policy")) {
-    if (pl->kind != Jv::kObj) {
+  if (const Value* pl = root.find("policy")) {
+    if (pl->kind != Value::kObj) {
       return fail_field(err, "", "policy", "expected an object");
     }
     if (!read_enum(*pl, "kind", {"never", "fixed_interval", "threshold"},

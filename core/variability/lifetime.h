@@ -27,6 +27,7 @@
 #include <string>
 
 #include "core/variability/drift.h"
+#include "tensor/json.h"
 
 namespace qavat {
 
@@ -106,6 +107,12 @@ struct LifetimeSpec {
   /// names the offending field, e.g. "policy.budget: expected a number".
   static bool from_json(const std::string& text, LifetimeSpec* out,
                         std::string* error = nullptr);
+
+  /// Decode an already-parsed document, with from_json's contract; a
+  /// non-object fails with "expected an object". FleetStudySpec decodes
+  /// its "lifetime" member through this.
+  static bool from_value(const json::Value& root, LifetimeSpec* out,
+                         std::string* error = nullptr);
 };
 
 /// One chip's persistent lifetime state — exactly what a fleet snapshot

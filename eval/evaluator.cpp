@@ -33,10 +33,6 @@ Stats Stats::from(const std::vector<double>& xs) {
 
 namespace {
 
-void clear_all_noise(Module& model) {
-  for (QuantLayerBase* q : model.quant_layers()) q->noise_state().clear();
-}
-
 // Draw chip `chip`'s full noise realization into slot `slot` of every
 // layer's batched state. The RNG is seeded explicitly from the chip index
 // — Rng(seed, chip) — and the draw order (chip eps_B, GTM measurement,
@@ -401,71 +397,6 @@ EvalStats evaluate_under_variability(Module& model, const Dataset& test,
   stats.n_chips = ecfg.n_chips;
   stats.per_chip_acc = std::move(accs);
   return stats;
-}
-
-DriftStats evaluate_under_drift(Module& model, const Dataset& test,
-                                const DriftConfig& dcfg,
-                                const DriftEvalConfig& ecfg) {
-  model.set_training(false);
-  auto qlayers = model.quant_layers();
-  Rng rng(ecfg.seed, 0);
-
-  // Static within-chip realization (device-to-device variation does not
-  // drift); the correlated component eps_B(t) follows the OU process.
-  VariabilityConfig within =
-      VariabilityConfig::within_only(dcfg.model, dcfg.sigma_w);
-  for (QuantLayerBase* q : qlayers) {
-    sample_variability(*q, within, rng);
-    NoiseState& ns = q->noise_state();
-    if (!ns.active) {  // sigma_w == 0: pure-drift deployment still needs an
-      ns.model = dcfg.model;  // active state to carry the drifting eps_B
-      ns.wmax = q->dequant_weight_max();
-      ns.eps.resize(q->weight().value.shape());
-      ns.eps.zero();
-      ns.active = true;
-    }
-  }
-  const CorrectionKind correction = correction_for(proper_mode(dcfg.model));
-
-  OuProcess ou(dcfg.tau, dcfg.sigma_b, rng);
-  double eps_hat = measure_eps_b(ou.value(), dcfg.sigma_w, ecfg.gtm_cells, rng);
-
-  double acc_sum = 0.0, err_sum = 0.0;
-  index_t offset = 0;
-  const index_t n_test = test.size();
-  for (index_t step = 0; step < ecfg.n_steps; ++step) {
-    if (step > 0) ou.step(rng);
-    if (ecfg.remeasure_interval > 0 && step % ecfg.remeasure_interval == 0 &&
-        step > 0) {
-      eps_hat = measure_eps_b(ou.value(), dcfg.sigma_w, ecfg.gtm_cells, rng);
-    }
-    for (QuantLayerBase* q : qlayers) {
-      NoiseState& ns = q->noise_state();
-      ns.eps_b = static_cast<float>(ou.value());
-      ns.correction = correction;
-      ns.eps_hat = static_cast<float>(eps_hat);
-      ns.ltm_err = 0.0f;
-    }
-    // Evaluate one batch, cycling through the test set.
-    std::vector<index_t> idx(static_cast<std::size_t>(
-        std::min<index_t>(ecfg.batch_size, n_test)));
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      idx[i] = (offset + static_cast<index_t>(i)) % n_test;
-    }
-    offset = (offset + static_cast<index_t>(idx.size())) % n_test;
-    Tensor x = test.gather_images(idx);
-    std::vector<index_t> y = test.gather_labels(idx);
-    Tensor logits = model.forward(x);
-    index_t hits = 0;
-    softmax_xent(logits, y, nullptr, &hits);
-    acc_sum += static_cast<double>(hits) / static_cast<double>(idx.size());
-    err_sum += std::fabs(eps_hat - ou.value());
-  }
-  clear_all_noise(model);
-  DriftStats out;
-  out.mean_acc = acc_sum / static_cast<double>(ecfg.n_steps);
-  out.mean_abs_error = err_sum / static_cast<double>(ecfg.n_steps);
-  return out;
 }
 
 }  // namespace qavat

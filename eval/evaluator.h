@@ -29,13 +29,10 @@
 //    the lane as pool sub-jobs. Since a chip's realization depends only
 //    on its index, per-chip accuracies are bit-identical for every thread
 //    count, chip_batch and backend.
-//  * evaluate_under_drift — eps_B(t) follows an OU process; the GTM is
-//    re-measured every `remeasure_interval` steps (0 = factory-time only).
 //
 // Thread-safety: evaluate_under_variability only reads the caller's
 // model — every lane drives its own clone — so the model must not be
 // mutated (trained, re-scaled) by another thread during the call.
-// evaluate_under_drift drives the model itself, from the calling thread.
 #pragma once
 
 #include "core/models/models.h"
@@ -129,27 +126,5 @@ EvalStats evaluate_under_variability(Module& model, const Dataset& test,
                                      const VariabilityConfig& vcfg,
                                      const EvalConfig& ecfg,
                                      const SelfTuneConfig* st = nullptr);
-
-/// Temporal-drift evaluation protocol (footnote-2 extension).
-struct DriftEvalConfig {
-  index_t n_steps = 192;           ///< OU time steps evaluated
-  index_t batch_size = 50;         ///< test rows per step
-  index_t remeasure_interval = 0;  ///< steps between GTM re-measurements;
-                                   ///< 0 = factory calibration only
-  index_t gtm_cells = 1000;        ///< GTM cells per measurement
-  std::uint64_t seed = 2000;       ///< drift Monte-Carlo seed
-};
-
-/// Result of a drift evaluation.
-struct DriftStats {
-  double mean_acc = 0.0;        ///< accuracy averaged over all steps
-  double mean_abs_error = 0.0;  ///< mean |eps_hat - eps_B(t)| staleness
-};
-
-/// Accuracy under a drifting eps_B(t) (OU process, DriftConfig) with
-/// periodic GTM re-measurement.
-DriftStats evaluate_under_drift(Module& model, const Dataset& test,
-                                const DriftConfig& dcfg,
-                                const DriftEvalConfig& ecfg);
 
 }  // namespace qavat

@@ -15,55 +15,6 @@ namespace qavat {
 
 namespace {
 
-// ------------------------------------------------------------ spec JSON
-
-// Slice the top-level sub-object `"name":{...}` out of a study document
-// (brace counting with in-string tracking; escapes unsupported, exactly
-// like the manifest scanner — to_json never emits them). Returns false
-// when the name or a balanced object is not found.
-bool extract_object(const std::string& text, const char* name,
-                    std::string* out) {
-  const std::string needle = std::string("\"") + name + "\"";
-  std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  pos += needle.size();
-  while (pos < text.size() &&
-         (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-          text[pos] == '\r')) {
-    ++pos;
-  }
-  if (pos >= text.size() || text[pos] != ':') return false;
-  ++pos;
-  while (pos < text.size() &&
-         (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-          text[pos] == '\r')) {
-    ++pos;
-  }
-  if (pos >= text.size() || text[pos] != '{') return false;
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = pos; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') return false;  // escapes unsupported
-      if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      --depth;
-      if (depth == 0) {
-        out->assign(text, pos, i - pos + 1);
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 // ------------------------------------------------------- snapshot codec
 
 // Strict sequential reader over StateDict::scalars: O(n) for the whole
@@ -105,8 +56,7 @@ constexpr index_t kChipScalars = 7;
 // prepare_noise_group: size the batched state and apply the
 // NoiseState-wide writes once per group. Unlike the Monte-Carlo path the
 // state is ALWAYS active — a pure-drift deployment (sigma_w == 0) still
-// carries the drifting eps_B through the (zeroed) eps planes, exactly as
-// evaluate_under_drift arranges for the scalar path.
+// carries the drifting eps_B through the (zeroed) eps planes.
 void prepare_fleet_group(std::vector<QuantLayerBase*>& qlayers,
                          const VariabilityConfig& within, index_t nb,
                          CorrectionKind correction) {
@@ -151,23 +101,19 @@ std::string FleetStudySpec::to_json() const {
 bool FleetStudySpec::from_json(const std::string& text, FleetStudySpec* out,
                                std::string* error) {
   if (error != nullptr) error->clear();
-  std::string sub;
+  json::Value root;
+  if (!json::parse_object(text, &root, error)) return false;
+  // Decode one required member, prefixing its errors with the name.
+  auto member = [&](const char* name, auto decode, auto* dst) {
+    const json::Value* v = root.find(name);
+    std::string sub_err = "missing object";
+    if (v != nullptr && decode(*v, dst, &sub_err)) return true;
+    if (error != nullptr) *error = std::string(name) + ": " + sub_err;
+    return false;
+  };
   FleetStudySpec s;
-  if (!extract_object(text, "scenario", &sub)) {
-    if (error != nullptr) *error = "scenario: missing object";
-    return false;
-  }
-  std::string sub_err;
-  if (!ScenarioSpec::from_json(sub, &s.scenario, &sub_err)) {
-    if (error != nullptr) *error = "scenario: " + sub_err;
-    return false;
-  }
-  if (!extract_object(text, "lifetime", &sub)) {
-    if (error != nullptr) *error = "lifetime: missing object";
-    return false;
-  }
-  if (!LifetimeSpec::from_json(sub, &s.lifetime, &sub_err)) {
-    if (error != nullptr) *error = "lifetime: " + sub_err;
+  if (!member("scenario", ScenarioSpec::from_value, &s.scenario) ||
+      !member("lifetime", LifetimeSpec::from_value, &s.lifetime)) {
     return false;
   }
   *out = s;

@@ -1,8 +1,6 @@
 #include "eval/manifest.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 namespace qavat {
@@ -32,71 +30,9 @@ std::string encode(const SweepManifest& m) {
   return o;
 }
 
-// ------------------------------------------------------------- decoding
-//
-// The manifest layer has its own top-level scanner instead of extending
-// scenario.cpp's Jv parser with arrays: the only structure here is one
-// object holding two scalars and an array of spec objects, and each
-// element must be handed to ScenarioSpec::from_json as TEXT anyway (so
-// its per-field validation owns the inside of the braces). Specs never
-// contain arrays or string escapes (to_json emits neither), which makes
-// element extraction a brace count with in-string tracking.
-
-void skip_ws(const char*& p) {
-  while (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r') ++p;
-}
-
 bool fail(std::string* error, const std::string& what) {
   if (error != nullptr && error->empty()) *error = what;
   return false;
-}
-
-bool scan_string(const char*& p, std::string* out, std::string* error) {
-  skip_ws(p);
-  if (*p != '"') return fail(error, "malformed JSON: expected a string");
-  ++p;
-  out->clear();
-  while (*p != '\0' && *p != '"') {
-    if (*p == '\\') {
-      return fail(error, "malformed JSON: string escapes unsupported");
-    }
-    out->push_back(*p++);
-  }
-  if (*p != '"') return fail(error, "malformed JSON: unterminated string");
-  ++p;
-  return true;
-}
-
-// Extract one balanced {...} object as raw text, tracking strings so a
-// brace inside a token can never derail the count.
-bool scan_object_text(const char*& p, std::string* out, std::string* error) {
-  skip_ws(p);
-  if (*p != '{') return fail(error, "malformed JSON: expected an object");
-  const char* start = p;
-  int depth = 0;
-  bool in_string = false;
-  for (; *p != '\0'; ++p) {
-    const char c = *p;
-    if (in_string) {
-      if (c == '\\') {
-        return fail(error, "malformed JSON: string escapes unsupported");
-      }
-      if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      if (--depth == 0) {
-        ++p;
-        out->assign(start, static_cast<std::size_t>(p - start));
-        return true;
-      }
-    }
-  }
-  return fail(error, "malformed JSON: unterminated object");
 }
 
 }  // namespace
@@ -106,98 +42,39 @@ std::string SweepManifest::to_json() const { return encode(*this); }
 bool SweepManifest::from_json(const std::string& text, SweepManifest* out,
                               std::string* error) {
   if (error != nullptr) error->clear();
-  const char* p = text.c_str();
-  skip_ws(p);
-  if (*p != '{') return fail(error, "malformed JSON: expected an object");
-  ++p;
-
-  SweepManifest m;
-  bool saw_schema = false;
-  bool saw_specs = false;
-  skip_ws(p);
-  if (*p == '}') {
-    ++p;
-  } else {
-    while (true) {
-      std::string key;
-      if (!scan_string(p, &key, error)) return false;
-      skip_ws(p);
-      if (*p != ':') return fail(error, "malformed JSON: expected ':'");
-      ++p;
-      skip_ws(p);
-      if (key == "manifest_schema") {
-        char* end = nullptr;
-        const long v = std::strtol(p, &end, 10);
-        if (end == p) {
-          return fail(error, "manifest_schema: expected an integer");
-        }
-        if (v != kManifestSchemaVersion) {
-          return fail(error,
-                      "manifest_schema: version mismatch: expected " +
-                          std::to_string(kManifestSchemaVersion) + ", got " +
-                          std::string(p, static_cast<std::size_t>(end - p)));
-        }
-        p = end;
-        saw_schema = true;
-      } else if (key == "name") {
-        if (!scan_string(p, &m.name, error)) {
-          return fail(error, "name: expected a string");
-        }
-      } else if (key == "specs") {
-        if (*p != '[') return fail(error, "specs: expected an array");
-        ++p;
-        skip_ws(p);
-        if (*p == ']') {
-          ++p;
-        } else {
-          while (true) {
-            std::string doc;
-            std::string spec_err;
-            ScenarioSpec spec;
-            const std::size_t idx = m.specs.size();
-            if (!scan_object_text(p, &doc, error)) {
-              return fail(error, "specs[" + std::to_string(idx) +
-                                     "]: expected an object");
-            }
-            if (!ScenarioSpec::from_json(doc, &spec, &spec_err)) {
-              return fail(error,
-                          "specs[" + std::to_string(idx) + "]: " + spec_err);
-            }
-            m.specs.push_back(std::move(spec));
-            skip_ws(p);
-            if (*p == ',') {
-              ++p;
-              continue;
-            }
-            if (*p == ']') {
-              ++p;
-              break;
-            }
-            return fail(error, "malformed JSON: expected ',' or ']'");
-          }
-        }
-        saw_specs = true;
-      } else {
-        return fail(error, "unknown manifest field '" + key + "'");
-      }
-      skip_ws(p);
-      if (*p == ',') {
-        ++p;
-        skip_ws(p);
-        continue;
-      }
-      if (*p == '}') {
-        ++p;
-        break;
-      }
-      return fail(error, "malformed JSON: expected ',' or '}'");
+  json::Value root;
+  if (!json::parse_object(text, &root, error)) return false;
+  for (const auto& member : root.obj) {
+    if (member.first != "manifest_schema" && member.first != "name" &&
+        member.first != "specs") {
+      return fail(error, "unknown manifest field '" + member.first + "'");
     }
   }
-  skip_ws(p);
-  if (*p != '\0') return fail(error, "malformed JSON (trailing characters)");
-  if (!saw_schema) return fail(error, "manifest_schema: missing");
-  if (!saw_specs) return fail(error, "specs: missing");
-
+  if (!json::read_schema(root, "manifest_schema", kManifestSchemaVersion,
+                         error)) {
+    return false;
+  }
+  SweepManifest m;
+  if (const json::Value* name = root.find("name")) {
+    if (name->kind != json::Value::kStr) {
+      return fail(error, "name: expected a string");
+    }
+    m.name = name->text;
+  }
+  const json::Value* specs = root.find("specs");
+  if (specs == nullptr) return fail(error, "specs: missing");
+  if (specs->kind != json::Value::kArr) {
+    return fail(error, "specs: expected an array");
+  }
+  for (const json::Value& item : specs->items) {
+    ScenarioSpec spec;
+    std::string spec_err;
+    if (!ScenarioSpec::from_value(item, &spec, &spec_err)) {
+      return fail(error, "specs[" + std::to_string(m.specs.size()) + "]: " +
+                             spec_err);
+    }
+    m.specs.push_back(std::move(spec));
+  }
   *out = std::move(m);
   return true;
 }

@@ -6,7 +6,7 @@
 // generic sweep engine (`qavat-sweep run`, Session::run_manifest)
 // without recompiling a bench binary. Validation is per-entry and
 // per-field: a malformed manifest reports the offending spec index and
-// field (via ScenarioSpec::from_json's error channel), never a bare
+// field (via ScenarioSpec::from_value's error channel), never a bare
 // "false". DESIGN.md §15.
 #pragma once
 

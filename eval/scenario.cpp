@@ -1,16 +1,13 @@
 #include "eval/scenario.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <initializer_list>
-#include <map>
 
 #include "eval/experiment.h"
 #include "pim/tiling.h"
 
 namespace qavat {
+
+using namespace json;
 
 const char* to_string(ScenarioAlgo a) {
   switch (a) {
@@ -22,20 +19,6 @@ const char* to_string(ScenarioAlgo a) {
 }
 
 namespace {
-
-// Canonical double formatting for keys: stable, short, no locale.
-std::string fmt_g(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
-// Round-trip-exact double formatting for JSON.
-std::string fmt_exact(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::string noise_token(const VariabilityConfig& v) {
   if (!v.enabled()) return "off";
@@ -57,20 +40,7 @@ const char* variance_token(VarianceModel m) {
   return m == VarianceModel::kWeightProportional ? "wp" : "lf";
 }
 
-std::string lld(index_t v) { return std::to_string(static_cast<long long>(v)); }
-
 // ---------------------------------------------------------------- JSON
-
-void json_kv(std::string& out, const char* k, const std::string& v,
-             bool quote, bool last = false) {
-  out += '"';
-  out += k;
-  out += "\":";
-  if (quote) out += '"';
-  out += v;
-  if (quote) out += '"';
-  if (!last) out += ',';
-}
 
 std::string noise_json(const VariabilityConfig& v) {
   std::string o = "{";
@@ -81,207 +51,20 @@ std::string noise_json(const VariabilityConfig& v) {
   return o;
 }
 
-// Minimal JSON value for the subset to_json() emits: objects, strings,
-// numbers, booleans. Numbers keep their source text so 64-bit integers
-// parse exactly (strtoll) instead of through a double.
-struct Jv {
-  enum Kind { kBool, kNum, kStr, kObj } kind = kNum;
-  bool b = false;
-  std::string text;  // number text or string value
-  std::map<std::string, Jv> obj;
-
-  const Jv* find(const char* name) const {
-    auto it = obj.find(name);
-    return it == obj.end() ? nullptr : &it->second;
-  }
-  double num() const { return std::strtod(text.c_str(), nullptr); }
-  long long inum() const { return std::strtoll(text.c_str(), nullptr, 10); }
-};
-
-void skip_ws(const char*& p) {
-  while (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r') ++p;
-}
-
-bool parse_string(const char*& p, std::string* out) {
-  if (*p != '"') return false;
-  ++p;
-  out->clear();
-  while (*p != '\0' && *p != '"') {
-    if (*p == '\\') return false;  // to_json never emits escapes
-    out->push_back(*p++);
-  }
-  if (*p != '"') return false;
-  ++p;
-  return true;
-}
-
-bool parse_value(const char*& p, Jv* out) {
-  skip_ws(p);
-  if (*p == '{') {
-    ++p;
-    out->kind = Jv::kObj;
-    skip_ws(p);
-    if (*p == '}') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      skip_ws(p);
-      std::string name;
-      if (!parse_string(p, &name)) return false;
-      skip_ws(p);
-      if (*p != ':') return false;
-      ++p;
-      Jv child;
-      if (!parse_value(p, &child)) return false;
-      out->obj.emplace(std::move(name), std::move(child));
-      skip_ws(p);
-      if (*p == ',') {
-        ++p;
-        continue;
-      }
-      if (*p == '}') {
-        ++p;
-        return true;
-      }
-      return false;
-    }
-  }
-  if (*p == '"') {
-    out->kind = Jv::kStr;
-    return parse_string(p, &out->text);
-  }
-  if (std::strncmp(p, "true", 4) == 0) {
-    out->kind = Jv::kBool;
-    out->b = true;
-    p += 4;
-    return true;
-  }
-  if (std::strncmp(p, "false", 5) == 0) {
-    out->kind = Jv::kBool;
-    out->b = false;
-    p += 5;
-    return true;
-  }
-  const char* start = p;
-  while (*p == '-' || *p == '+' || *p == '.' || *p == 'e' || *p == 'E' ||
-         (*p >= '0' && *p <= '9')) {
-    ++p;
-  }
-  if (p == start) return false;
-  out->kind = Jv::kNum;
-  out->text.assign(start, static_cast<std::size_t>(p - start));
-  return true;
-}
-
-// Error sink shared by every reader: record "<prefix><field>: <what>"
-// into *err (first failure wins — the callers chain with &&) and report
-// the failure.
-bool fail_field(std::string* err, const char* prefix, const char* name,
-                const std::string& what) {
-  if (err != nullptr && err->empty()) {
-    *err = std::string(prefix) + name + ": " + what;
-  }
-  return false;
-}
-
-// Typed field readers: each returns false on a present-but-wrong-typed
-// field (naming it via *err) and leaves the destination untouched when
-// the field is absent. `prefix` is the dotted path of the enclosing
-// object ("train.", "eval.", ...), purely for error messages.
-bool read_num(const Jv& o, const char* name, double* dst, std::string* err,
-              const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kNum) {
-    return fail_field(err, prefix, name, "expected a number");
-  }
-  *dst = v->num();
-  return true;
-}
-
-bool read_index(const Jv& o, const char* name, index_t* dst, std::string* err,
-                const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kNum) {
-    return fail_field(err, prefix, name, "expected an integer");
-  }
-  *dst = static_cast<index_t>(v->inum());
-  return true;
-}
-
-bool read_u64(const Jv& o, const char* name, std::uint64_t* dst,
-              std::string* err, const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kNum) {
-    return fail_field(err, prefix, name, "expected an integer");
-  }
-  *dst = static_cast<std::uint64_t>(
-      std::strtoull(v->text.c_str(), nullptr, 10));
-  return true;
-}
-
-bool read_bool(const Jv& o, const char* name, bool* dst, std::string* err,
-               const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kBool) {
-    return fail_field(err, prefix, name, "expected true or false");
-  }
-  *dst = v->b;
-  return true;
-}
-
-bool read_noise(const Jv& o, const char* name, VariabilityConfig* dst,
+bool read_noise(const Value& o, const char* name, VariabilityConfig* dst,
                 std::string* err, const char* prefix = "") {
-  const Jv* v = o.find(name);
+  const Value* v = o.find(name);
   if (v == nullptr) return true;
   const std::string path = std::string(prefix) + name + ".";
-  if (v->kind != Jv::kObj) {
+  if (v->kind != Value::kObj) {
     return fail_field(err, prefix, name, "expected an object");
   }
-  const Jv* m = v->find("model");
-  if (m != nullptr) {
-    if (m->kind != Jv::kStr) {
-      return fail_field(err, path.c_str(), "model", "expected a string");
-    }
-    if (m->text == "wp") {
-      dst->model = VarianceModel::kWeightProportional;
-    } else if (m->text == "lf") {
-      dst->model = VarianceModel::kLayerFixed;
-    } else {
-      return fail_field(err, path.c_str(), "model",
-                        "unknown token '" + m->text + "'");
-    }
-  }
-  return read_num(*v, "sigma_w", &dst->sigma_w, err, path.c_str()) &&
+  return read_enum(*v, "model", {"wp", "lf"},
+                   {VarianceModel::kWeightProportional,
+                    VarianceModel::kLayerFixed},
+                   &dst->model, err, path.c_str()) &&
+         read_num(*v, "sigma_w", &dst->sigma_w, err, path.c_str()) &&
          read_num(*v, "sigma_b", &dst->sigma_b, err, path.c_str());
-}
-
-// Enum-token reader: `tokens`/`values` are parallel null-terminated
-// lists; an absent field keeps the default, an unknown token is named
-// in the error.
-template <typename E>
-bool read_enum(const Jv& o, const char* name,
-               std::initializer_list<const char*> tokens,
-               std::initializer_list<E> values, E* dst, std::string* err,
-               const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kStr) {
-    return fail_field(err, prefix, name, "expected a string");
-  }
-  auto tok = tokens.begin();
-  auto val = values.begin();
-  for (; tok != tokens.end(); ++tok, ++val) {
-    if (v->text == *tok) {
-      *dst = *val;
-      return true;
-    }
-  }
-  return fail_field(err, prefix, name, "unknown token '" + v->text + "'");
 }
 
 }  // namespace
@@ -392,31 +175,22 @@ std::string ScenarioSpec::to_json() const {
 bool ScenarioSpec::from_json(const std::string& text, ScenarioSpec* out,
                              std::string* error) {
   if (error != nullptr) error->clear();
-  const char* p = text.c_str();
-  Jv root;
-  if (!parse_value(p, &root) || root.kind != Jv::kObj) {
-    if (error != nullptr && error->empty()) *error = "malformed JSON";
-    return false;
-  }
-  skip_ws(p);
-  if (*p != '\0') {
-    if (error != nullptr) *error = "malformed JSON (trailing characters)";
+  Value root;
+  return parse_object(text, &root, error) && from_value(root, out, error);
+}
+
+bool ScenarioSpec::from_value(const Value& root, ScenarioSpec* out,
+                              std::string* error) {
+  if (error != nullptr) error->clear();
+  if (root.kind != Value::kObj) {
+    if (error != nullptr) *error = "expected an object";
     return false;
   }
   std::string* err = error;
 
   ScenarioSpec s;
-  const Jv* schema = root.find("schema");
-  if (schema == nullptr || schema->kind != Jv::kNum) {
-    return fail_field(err, "", "schema", "missing or not a number");
-  }
-  if (schema->inum() != kScenarioSchemaVersion) {
-    return fail_field(err, "", "schema",
-                      "version mismatch: expected " +
-                          std::to_string(kScenarioSchemaVersion) + ", got " +
-                          schema->text);
-  }
-  if (!read_enum(root, "model", {"lenet5s", "vgg11s", "resnet18s"},
+  if (!read_schema(root, "schema", kScenarioSchemaVersion, err) ||
+      !read_enum(root, "model", {"lenet5s", "vgg11s", "resnet18s"},
                  {ModelKind::kLeNet5s, ModelKind::kVGG11s,
                   ModelKind::kResNet18s},
                  &s.model, err) ||
@@ -427,8 +201,8 @@ bool ScenarioSpec::from_json(const std::string& text, ScenarioSpec* out,
       !read_bool(root, "fast", &s.fast, err)) {
     return false;
   }
-  if (const Jv* m = root.find("model_cfg")) {
-    if (m->kind != Jv::kObj) {
+  if (const Value* m = root.find("model_cfg")) {
+    if (m->kind != Value::kObj) {
       return fail_field(err, "", "model_cfg", "expected an object");
     }
     if (!read_index(*m, "a_bits", &s.model_cfg.a_bits, err, "model_cfg.") ||
@@ -444,8 +218,8 @@ bool ScenarioSpec::from_json(const std::string& text, ScenarioSpec* out,
       return false;
     }
   }
-  if (const Jv* t = root.find("train")) {
-    if (t->kind != Jv::kObj) {
+  if (const Value* t = root.find("train")) {
+    if (t->kind != Value::kObj) {
       return fail_field(err, "", "train", "expected an object");
     }
     if (!read_index(*t, "epochs", &s.train.epochs, err, "train.") ||
@@ -463,8 +237,8 @@ bool ScenarioSpec::from_json(const std::string& text, ScenarioSpec* out,
     }
   }
   if (!read_noise(root, "deploy", &s.deploy, err)) return false;
-  if (const Jv* st = root.find("selftune")) {
-    if (st->kind != Jv::kObj) {
+  if (const Value* st = root.find("selftune")) {
+    if (st->kind != Value::kObj) {
       return fail_field(err, "", "selftune", "expected an object");
     }
     if (!read_enum(*st, "mode", {"none", "gtm", "gtmltm"},
@@ -478,8 +252,8 @@ bool ScenarioSpec::from_json(const std::string& text, ScenarioSpec* out,
       return false;
     }
   }
-  if (const Jv* e = root.find("eval")) {
-    if (e->kind != Jv::kObj) {
+  if (const Value* e = root.find("eval")) {
+    if (e->kind != Value::kObj) {
       return fail_field(err, "", "eval", "expected an object");
     }
     if (!read_index(*e, "n_chips", &s.eval.n_chips, err, "eval.") ||

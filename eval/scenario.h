@@ -19,6 +19,7 @@
 #include "core/selftune/selftune.h"
 #include "core/train/trainer.h"
 #include "eval/evaluator.h"
+#include "tensor/json.h"
 
 namespace qavat {
 
@@ -70,6 +71,13 @@ struct ScenarioSpec {
   /// 'QVT'"), so manifest validation can point at the exact field.
   static bool from_json(const std::string& text, ScenarioSpec* out,
                         std::string* error = nullptr);
+
+  /// Decode an already-parsed document, with from_json's contract; a
+  /// non-object fails with "expected an object". Documents that embed
+  /// specs (manifests, fleet studies) parse once and decode each
+  /// embedded spec from its value.
+  static bool from_value(const json::Value& root, ScenarioSpec* out,
+                         std::string* error = nullptr);
 
   /// Workload defaults for (kind, bits, algo): default model/train/eval
   /// configs, no deployment noise (clean-accuracy scenario), fast flag

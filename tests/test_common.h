@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 namespace qavat {
 namespace test {
@@ -28,6 +29,18 @@ inline int failures = 0;
       ++qavat::test::failures;                                          \
     }                                                                   \
   } while (0)
+
+/// `depth` copies of `open`, a 1, then `depth` copies of `close`: with
+/// open = "{\"a\":" and close = "}", a document nested far deeper than
+/// any decoder accepts, to probe that none exhausts its stack.
+inline std::string nested_json(const char* open, const char* close,
+                               int depth) {
+  std::string s;
+  for (int i = 0; i < depth; ++i) s += open;
+  s += "1";
+  for (int i = 0; i < depth; ++i) s += close;
+  return s;
+}
 
 inline int finish(const char* name) {
   if (qavat::test::failures == 0) {

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 #include <unistd.h>
 
@@ -463,6 +464,27 @@ void test_lifetime_spec_rejection() {
                           "drift: expected an object");
   check_lifetime_rejected(swap("\"n_chips\":17", "\"n_chips\":\"many\""),
                           "n_chips: expected an integer");
+  // Strict grammar, shared with ScenarioSpec through tensor/json.
+  check_lifetime_rejected(swap("\"n_chips\":17", "\"n_chips\":1-2"),
+                          "n_chips: malformed JSON (bad number '1-2')");
+  check_lifetime_rejected(swap("\"tau\":", "\"tau\":--,\"y\":"),
+                          "drift.tau: malformed JSON (bad number '--')");
+  check_lifetime_rejected(swap("\"budget\":", "\"budget\":e,\"y\":"),
+                          "policy.budget: malformed JSON (bad number 'e')");
+  check_lifetime_rejected(swap("\"n_chips\":17", "\"n_chips\":2.9"),
+                          "n_chips: expected an integer, got '2.9'");
+  check_lifetime_rejected(
+      swap("\"n_chips\":17", "\"n_chips\":99999999999999999999999"),
+      "n_chips: integer out of range");
+  check_lifetime_rejected(swap("\"seed\":", "\"seed\":-1,\"y\":"),
+                          "seed: expected an unsigned integer, got '-1'");
+  check_lifetime_rejected(
+      swap("\"n_chips\":17", "\"n_chips\":17,\"n_chips\":18"),
+      "n_chips: malformed JSON (duplicate key)");
+  const std::string deep = test::nested_json("{\"a\":", "}", 100000);
+  check_lifetime_rejected(
+      swap("\"drift\":{", "\"drift\":{\"deep\":" + deep + ","),
+      "nesting deeper than 64 levels");
 }
 
 void test_fleet_study_spec_json() {
@@ -503,6 +525,29 @@ void test_fleet_study_spec_json() {
               "\"kind\":\"sometimes\"");
   CHECK(!FleetStudySpec::from_json(bad, &out, &err));
   CHECK(err.find("lifetime: policy.kind: unknown token") != std::string::npos);
+  // Whole-document rules match the other decoders: trailing bytes, a
+  // root without braces, an array root, a duplicate member and nesting
+  // deep enough to exhaust the stack are all rejected, *out untouched.
+  const std::string g = good.to_json();
+  const std::string deep = test::nested_json("{\"a\":", "}", 100000);
+  std::string deep_doc = g;
+  const char* scenario_open = "\"scenario\":{";
+  deep_doc.replace(deep_doc.find(scenario_open), std::strlen(scenario_open),
+                   scenario_open + ("\"deep\":" + deep + ","));
+  const std::pair<std::string, const char*> loose[] = {
+      {g + "GARBAGE{", "malformed JSON (trailing characters)"},
+      {g.substr(1, g.size() - 2), "malformed JSON"},
+      {"[" + g + "]", "malformed JSON (expected an object)"},
+      {"{\"scenario\":" + good.scenario.to_json() + "," + g.substr(1),
+       "scenario: malformed JSON (duplicate key)"},
+      {deep_doc, "nesting deeper than 64 levels"},
+  };
+  const std::string before = out.to_json();
+  for (const auto& c : loose) {
+    CHECK(!FleetStudySpec::from_json(c.first, &out, &err));
+    CHECK(err.find(c.second) != std::string::npos);
+    CHECK(out.to_json() == before);
+  }
 }
 
 // -------------------------------------------------------- snapshot codec

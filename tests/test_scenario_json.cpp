@@ -234,6 +234,29 @@ void test_rejection() {
                  "eval.n_chips: expected an integer");
   check_rejected(swap("\"model_cfg\":{", "\"model_cfg\":true,\"x\":{"),
                  "model_cfg: expected an object");
+
+  // Strict grammar: numbers outside the RFC 8259 grammar, integers that
+  // are fractional, out of range or (unsigned fields) signed, duplicate
+  // keys, and nesting deep enough to exhaust a recursive parser's stack.
+  check_rejected(swap("\"a_bits\":4", "\"a_bits\":1-2"),
+                 "model_cfg.a_bits: malformed JSON (bad number '1-2')");
+  check_rejected(swap("\"a_bits\":4", "\"a_bits\":--"),
+                 "model_cfg.a_bits: malformed JSON (bad number '--')");
+  check_rejected(swap("\"lr\":", "\"lr\":e,\"xlr\":"),
+                 "train.lr: malformed JSON (bad number 'e')");
+  check_rejected(swap("\"a_bits\":4", "\"a_bits\":2.9"),
+                 "model_cfg.a_bits: expected an integer, got '2.9'");
+  check_rejected(swap("\"n_chips\":",
+                      "\"n_chips\":99999999999999999999999,\"x\":"),
+                 "eval.n_chips: integer out of range");
+  check_rejected(swap("\"init_seed\":", "\"init_seed\":-1,\"x\":"),
+                 "model_cfg.init_seed: expected an unsigned integer, got '-1'");
+  check_rejected(swap("\"n_chips\":", "\"n_chips\":5,\"n_chips\":"),
+                 "eval.n_chips: malformed JSON (duplicate key)");
+  const std::string deep = test::nested_json("{\"a\":", "}", 100000);
+  check_rejected(
+      swap("\"model_cfg\":{", "\"model_cfg\":{\"deep\":" + deep + ","),
+      "nesting deeper than 64 levels");
 }
 
 void test_manifest_roundtrip() {
@@ -339,6 +362,28 @@ void test_manifest_rejection() {
   rejected("{\"manifest_schema\":1,\"bogus\":1,\"specs\":[]}",
            "unknown manifest field 'bogus'");
   rejected(doc + "x", "trailing characters");
+  // Duplicate members are errors, not a concatenation or a last-wins.
+  rejected("{\"manifest_schema\":1,\"name\":\"x\",\"specs\":[],\"specs\":[]}",
+           "specs: malformed JSON (duplicate key)");
+  rejected("{\"manifest_schema\":1,\"name\":\"x\",\"name\":\"y\",\"specs\":[]}",
+           "name: malformed JSON (duplicate key)");
+  // The spec grammar probes, reported at their element path.
+  auto swap_first = [&](const std::string& from, const std::string& to) {
+    std::string text = doc;
+    const std::size_t at = text.find(from);
+    CHECK(at != std::string::npos);
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  rejected(swap_first("\"a_bits\":4", "\"a_bits\":1-2"),
+           "specs[0].model_cfg.a_bits: malformed JSON (bad number '1-2')");
+  rejected(swap_first("\"a_bits\":4", "\"a_bits\":2.9"),
+           "specs[0]: model_cfg.a_bits: expected an integer, got '2.9'");
+  rejected(swap_first("\"init_seed\":", "\"init_seed\":-1,\"x\":"),
+           "specs[0]: model_cfg.init_seed: expected an unsigned integer");
+  const std::string deep = test::nested_json("{\"a\":", "}", 100000);
+  rejected(swap_first("\"train\":{", "\"train\":{\"deep\":" + deep + ","),
+           "nesting deeper than 64 levels");
 
   // A bad entry is attributed by index and field: corrupt spec 2's algo.
   std::string bad = doc;
