@@ -16,7 +16,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -98,8 +97,7 @@ BENCHMARK(BM_MatmulThreads)->Arg(1)->Arg(2)->Arg(4);
 // the fixed cost every threaded kernel pays per call, now a persistent-
 // pool wakeup instead of per-call thread creation. Arg = thread count;
 // items are dispatches (the JSON rate field reads Gdispatch/s — higher
-// is better). The acceptance bar: strictly faster than the fork-join
-// replica below at equal thread count.
+// is better).
 void BM_PoolDispatch(benchmark::State& state) {
   const index_t nt = state.range(0);
   const index_t saved = num_threads();
@@ -111,23 +109,6 @@ void BM_PoolDispatch(benchmark::State& state) {
   set_num_threads(saved);
 }
 BENCHMARK(BM_PoolDispatch)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-// The dispatcher the pool replaced: spawn and join fresh std::threads
-// for the same empty spans (one per extra worker), exactly as the old
-// fork-join parallel_for did per call.
-void BM_ForkJoinDispatch(benchmark::State& state) {
-  const index_t nt = state.range(0);
-  for (auto _ : state) {
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(nt - 1));
-    for (index_t t = 1; t < nt; ++t) {
-      workers.emplace_back([](index_t, index_t) {}, t, t + 1);
-    }
-    for (auto& w : workers) w.join();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ForkJoinDispatch)->Arg(2)->Arg(4)->UseRealTime();
 
 // Monte-Carlo deployment evaluation of a LeNet-5s under mixed variability.
 // Arg = chip_batch (1 = sequential chip loop, 8 = noise-batched forward);

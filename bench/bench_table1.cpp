@@ -41,9 +41,9 @@ int main() {
   std::printf("Table I: QAVAT vs baselines at the lowest/highest variability\n");
   std::printf("(within-chip only, layer-fixed variance; mean accuracy %% over chips)\n\n");
 
-  // The grid is the built-in "table1" manifest, declared up front and
-  // run pipelined: scenario N+1 trains on the executor thread while
-  // scenario N evaluates here. run_all returns results in manifest
+  // The grid is the built-in "table1" manifest, declared up front so
+  // run_all can train its 25 models on parallel lanes before it
+  // evaluates the specs here, in order. Results return in manifest
   // order with sequential-run numbers, so the printed table is
   // byte-identical to a run() loop (and to a qavat-sweep run of the
   // same manifest).

@@ -39,8 +39,11 @@ run_suite "${DEBUG_BUILD_DIR}" Debug
 # Optional ThreadSanitizer pass over the pool-heavy tests (Debug +
 # -fsanitize=thread via -DQAVAT_TSAN=ON). test_eval_batched and
 # test_lifetime cover the evaluator's and the fleet's chip lanes: whole
-# model forwards on several pool workers at once. test_lifetime runs on
-# its own private store and needs persistence, so it keeps the store on.
+# model forwards on several pool workers at once. test_runner covers
+# run_all's training lanes: whole training units, the shared model
+# cache and concurrent store publishes. test_lifetime and test_runner
+# run on their own private stores and need persistence, so they keep
+# the store on.
 # Probed at runtime: hosts whose toolchain lacks the TSan runtime skip
 # gracefully instead of failing.
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${REPO_ROOT}/build-tsan}"
@@ -54,16 +57,16 @@ if "${CXX:-c++}" -fsanitize=thread "${TSAN_PROBE}/probe.cc" \
         -DCMAKE_BUILD_TYPE=Debug -DQAVAT_TSAN=ON
   cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
         --target test_gemm test_conv_ops test_thread_pool test_eval_batched \
-                 test_lifetime
+                 test_lifetime test_runner
   for t in test_gemm test_conv_ops test_thread_pool test_eval_batched \
-           test_lifetime; do
+           test_lifetime test_runner; do
     echo "-- tsan ${t} --"
     store=0
-    if [[ "${t}" == test_lifetime ]]; then store=1; fi
+    if [[ "${t}" == test_lifetime || "${t}" == test_runner ]]; then store=1; fi
     QAVAT_FAST=1 QAVAT_STORE="${store}" QAVAT_THREADS=4 "${TSAN_BUILD_DIR}/${t}"
   done
   echo "tsan: OK (test_gemm test_conv_ops test_thread_pool" \
-       "test_eval_batched test_lifetime, QAVAT_THREADS=4)"
+       "test_eval_batched test_lifetime test_runner, QAVAT_THREADS=4)"
 else
   echo "tsan: toolchain has no usable ThreadSanitizer runtime - skipped"
 fi

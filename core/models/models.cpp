@@ -181,8 +181,8 @@ class ResidualBlock : public Layer {
 
 Tensor Module::forward(const Tensor& x) {
   // This thread is the model's single workspace driver for the pass;
-  // a concurrent pass on the same model aborts loudly (pipelined
-  // sessions run concurrent passes on DIFFERENT models only).
+  // a concurrent pass on the same model aborts loudly (training and
+  // chip lanes run concurrent passes on DIFFERENT models only).
   Workspace::DriverScope driver(workspace_);
   Tensor h = x;
   for (auto& layer : layers_) h = layer->forward(h);

@@ -233,7 +233,7 @@ void QuantLayerBase::quantize_forward_input(const Tensor& x, index_t nb,
   }
   std::vector<index_t> block_shape = x.shape();
   block_shape[0] /= nb;
-  Tensor& x0 = ws_->acquire(this, kWsBlock, std::move(block_shape));
+  Tensor& x0 = ws_->acquire(ws_, kWsBlock, std::move(block_shape));
   first_chip_block(x, nb, x0);
   quantize_input(x0, out);
 }
@@ -362,7 +362,7 @@ Tensor QuantLinear::forward(const Tensor& x) {
     if (shared) {
       std::vector<index_t> block_shape = x.shape();
       block_shape[0] /= nb;
-      Tensor& x0 = ws_->acquire(this, kWsBlock, std::move(block_shape));
+      Tensor& x0 = ws_->acquire(ws_, kWsBlock, std::move(block_shape));
       first_chip_block(x, nb, x0);
       xin = &x0;
     } else {
@@ -400,7 +400,7 @@ Tensor QuantLinear::backward(const Tensor& gy) {
   for (index_t n = 0; n < gy.dim(0); ++n) {
     for (index_t j = 0; j < fan_out_; ++j) pb[j] += pg[n * fan_out_ + j];
   }
-  Tensor& dw = ws_->acquire(this, kWsDw, {fan_out_, fan_in_});
+  Tensor& dw = ws_->acquire(ws_, kWsDw, {fan_out_, fan_in_});
   matmul_tn_into(gy, xq_, dw);
   accumulate_weight_grad(dw);
   Tensor gx = matmul(gy, weff_);
@@ -460,7 +460,7 @@ Tensor QuantConv2d::forward(const Tensor& x) {
   if (training_) {
     // Training path: explicit quantize pass (observes activation ranges
     // and caches the STE mask for backward), then plain gather.
-    Tensor& xq = ws_->acquire(this, kWsXq, x.shape());
+    Tensor& xq = ws_->acquire(ws_, kWsXq, x.shape());
     quantize_input(x, xq);
     im2col(xq, geom, cols_);
   } else if (quant_enabled_ && act_quant_.calibrated() &&
@@ -479,7 +479,7 @@ Tensor QuantConv2d::forward(const Tensor& x) {
       // gather is pure copies. Shape-gated, so the choice — and the
       // bit-exact result — never depends on the thread count.
       Tensor& xq = ws_->acquire(
-          this, kWsXq, {geom.n, in_channels_, x.dim(2), x.dim(3)});
+          ws_, kWsXq, {geom.n, in_channels_, x.dim(2), x.dim(3)});
       quantize_forward_input(x, nb, shared, xq);
       im2col(xq, geom, cols_);
     }
@@ -494,7 +494,7 @@ Tensor QuantConv2d::forward(const Tensor& x) {
   // the grouped GEMM multiplies each chip's rows by its own weights (or
   // broadcasts the shared block when the chip inputs are identical).
   const index_t out_rows = shared ? nb * geom.rows() : geom.rows();
-  Tensor& y2d = ws_->acquire(this, kWsY2d, {out_rows, out_channels_});
+  Tensor& y2d = ws_->acquire(ws_, kWsY2d, {out_rows, out_channels_});
   analog_matmul_into(cols_, nb, shared, y2d);  // {N*OH*OW, cout}
   // Permute {N*OH*OW, cout} -> {N, cout, OH, OW} and add the bias. Each
   // (image, position) is written by exactly one thread: bit-identical for
@@ -531,7 +531,7 @@ Tensor QuantConv2d::backward(const Tensor& gy) {
   const index_t n = gy.dim(0), oh = gy.dim(2), ow = gy.dim(3);
   const index_t ohw = oh * ow, cout = out_channels_;
   // Permute to {N*OH*OW, cout} (inverse of forward's layout change).
-  Tensor& gy2d = ws_->acquire(this, kWsGy2d, {n * ohw, cout});
+  Tensor& gy2d = ws_->acquire(ws_, kWsGy2d, {n * ohw, cout});
   const float* pg = gy.data();
   float* p2 = gy2d.data();
   parallel_for_elems(n * ohw, [=](index_t r0, index_t r1) {
@@ -550,10 +550,10 @@ Tensor QuantConv2d::backward(const Tensor& gy) {
     const float* row = p2 + r * cout;
     for (index_t co = 0; co < cout; ++co) pb[co] += row[co];
   }
-  Tensor& dw = ws_->acquire(this, kWsDw, {fan_out_, fan_in_});
+  Tensor& dw = ws_->acquire(ws_, kWsDw, {fan_out_, fan_in_});
   matmul_tn_into(gy2d, cols_, dw);
   accumulate_weight_grad(dw);
-  Tensor& dcols = ws_->acquire(this, kWsDcols, {n * ohw, fan_in_});
+  Tensor& dcols = ws_->acquire(ws_, kWsDcols, {n * ohw, fan_in_});
   matmul_into(gy2d, weff_, dcols);
   const ConvGeom geom{n,       in_channels_, x_shape_[2], x_shape_[3],
                       kernel_, stride_,      pad_,        oh,

@@ -223,8 +223,11 @@ class QuantLayerBase : public Layer {
   Tensor programmed_weight() const;
 
  protected:
-  /// Scratch-slot ids within the layer's workspace key space (the key is
-  /// (this, slot), so layers never collide).
+  /// Transient scratch-slot ids, keyed (workspace, slot): every layer of
+  /// a model shares them, so the model retains the largest layer's
+  /// scratch rather than the sum over layers. No slot's contents survive
+  /// the layer call that acquired it; forward caches (`cols_`, `xq_`,
+  /// the STE masks) are members.
   enum WsSlot {
     kWsXq = 0,      // quantized input (training conv path)
     kWsY2d = 1,     // 2-D analog output before the NCHW permute

@@ -1,7 +1,9 @@
 #include "eval/experiment.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <vector>
 
@@ -39,13 +41,36 @@ std::map<std::string, EvalStats>& eval_cache() {
   return cache;
 }
 
-std::map<std::string, ModelSnapshot>& model_cache() {
-  static std::map<std::string, ModelSnapshot> cache;
+// The model cache is the one piece of experiment state training lanes
+// share, so it sits behind a mutex. Entries are never erased while a
+// run is in flight (only clear_experiment_caches drops them), and
+// std::map nodes are stable, so a snapshot found under the lock can be
+// read after it is released.
+struct ModelCache {
+  std::mutex mu;
+  std::map<std::string, ModelSnapshot> entries;
+};
+
+ModelCache& model_cache() {
+  static ModelCache cache;
   return cache;
 }
 
-index_t& training_runs_counter() {
-  static index_t runs = 0;
+const ModelSnapshot* find_snapshot(const std::string& key) {
+  ModelCache& c = model_cache();
+  std::lock_guard<std::mutex> lk(c.mu);
+  auto it = c.entries.find(key);
+  return it == c.entries.end() ? nullptr : &it->second;
+}
+
+void cache_snapshot(const std::string& key, ModelSnapshot s) {
+  ModelCache& c = model_cache();
+  std::lock_guard<std::mutex> lk(c.mu);
+  c.entries.emplace(key, std::move(s));
+}
+
+std::atomic<index_t>& training_runs_counter() {
+  static std::atomic<index_t> runs{0};
   return runs;
 }
 
@@ -129,11 +154,8 @@ std::string noise_key(const VariabilityConfig& v) {
   return os.str();
 }
 
-}  // namespace
-
-std::string train_cache_key(ModelKind kind, const ModelConfig& mcfg,
-                            const char* algo, const SplitDataset& data,
-                            const TrainConfig& tcfg) {
+std::string train_key(ModelKind kind, const ModelConfig& mcfg, const char* algo,
+                      const SplitDataset& data, const TrainConfig& tcfg) {
   std::ostringstream os;
   os << to_string(kind) << "_A" << mcfg.a_bits << "W" << mcfg.w_bits << "_nc"
      << mcfg.num_classes << "_c" << mcfg.in_channels << "s" << mcfg.image_size
@@ -146,14 +168,34 @@ std::string train_cache_key(ModelKind kind, const ModelConfig& mcfg,
   return os.str();
 }
 
-namespace {
+TrainUnit make_unit(ModelKind kind, const ModelConfig& mcfg, ScenarioAlgo algo,
+                    const SplitDataset& data, const TrainConfig& tcfg) {
+  return {train_key(kind, mcfg, to_string(algo), data, tcfg), kind, mcfg, algo,
+          tcfg};
+}
 
-// Local alias: the public name is train_cache_key (eval/experiment.h);
-// the cache bodies below predate the export and read better short.
-inline std::string train_key(ModelKind kind, const ModelConfig& mcfg,
-                             const char* algo, const SplitDataset& data,
-                             const TrainConfig& tcfg) {
-  return train_cache_key(kind, mcfg, algo, data, tcfg);
+// The QAT pretrain shared by every algorithm of a workload: the noise
+// is cleared (and one variation sample kept) before keying.
+TrainUnit pretrain_unit(ModelKind kind, const ModelConfig& mcfg,
+                        const SplitDataset& data, const TrainConfig& tcfg) {
+  TrainConfig pre = tcfg;
+  pre.train_noise = VariabilityConfig{};
+  pre.n_variation_samples = 1;
+  return make_unit(kind, mcfg, ScenarioAlgo::kQAT, data, pre);
+}
+
+// Publish a freshly trained model under `key`. The model (with its
+// workspace and training-batch caches) is snapshotted and freed first;
+// the clean evaluation and the persisted artifact then come from a
+// fresh restore, which carries exactly the snapshotted state.
+void publish_trained(const std::string& key, std::unique_ptr<Module> model,
+                     const Dataset& test) {
+  ModelSnapshot snap = snapshot(*model, 0.0);
+  model.reset();
+  const std::unique_ptr<Module> fresh = restore(snap);
+  snap.clean_test_acc = evaluate_clean(*fresh, test);
+  persist_model(key, *fresh, snap.clean_test_acc);
+  cache_snapshot(key, std::move(snap));
 }
 
 }  // namespace
@@ -216,139 +258,106 @@ EvalStats with_eval_cache(const std::string& key,
 void clear_experiment_caches(bool drop_disk) {
   result_cache().clear();
   eval_cache().clear();
-  model_cache().clear();
+  {
+    ModelCache& c = model_cache();
+    std::lock_guard<std::mutex> lk(c.mu);
+    c.entries.clear();
+  }
   if (drop_disk) store_drop_all();
 }
 
-index_t training_runs() { return training_runs_counter(); }
+index_t training_runs() { return training_runs_counter().load(); }
 
-TrainedModel train_cached(ModelKind kind, const ModelConfig& mcfg, TrainAlgo algo,
-                          const SplitDataset& data, const TrainConfig& tcfg) {
-  const std::string key = train_key(kind, mcfg, to_string(algo), data, tcfg);
-  auto& cache = model_cache();
-  TrainedModel out;
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    // The fine-tuned artifact is its own claim unit: only kQAVAT with
-    // training noise publishes under `key` — kQAT (and noise-free
-    // kQAVAT) degenerate to the pretrain phase, whose artifact lives
-    // under pre_key, so waiting on `key` for them would never end.
-    const bool wants_finetune =
-        algo == TrainAlgo::kQAVAT && tcfg.train_noise.enabled();
-    StoreClaim key_claim;
-    bool key_corrupt = false;
-    if (wants_finetune) {
-      // Read-through with the work-claim protocol: probe the disk store
-      // for the finished model, and on a miss either claim the right to
-      // train it or wait for the process that already did (DESIGN §14).
-      ClaimWait cw = claim_or_load("models", key, [&](StoreLoadOutcome* o) {
-        LoadedModel loaded = load_model_from_store(key, kind, mcfg, o);
-        if (loaded.model == nullptr) return false;
-        cache.emplace(key, snapshot(*loaded.model, loaded.clean_test_acc));
-        out.clean_test_acc = loaded.clean_test_acc;
-        out.model = std::move(loaded.model);
-        out.from_store = true;
-        return true;
-      });
-      if (cw.loaded) return out;
-      key_claim = std::move(cw.claim);
-      key_corrupt = cw.saw_corrupt;
-    }
-    // Phase 1: QAT pretraining, cached under its own (noise-free) key so
-    // QAT and every QAVAT variant of the same workload share it — its
-    // own claim unit, trained by exactly one process fleet-wide.
-    TrainConfig pre = tcfg;
-    pre.train_noise = VariabilityConfig{};
-    pre.n_variation_samples = 1;
-    const std::string pre_key = train_key(kind, mcfg, "QAT", data, pre);
-    bool pre_from_store = false;
-    auto pre_it = cache.find(pre_key);
-    if (pre_it == cache.end()) {
-      ClaimWait cw = claim_or_load("models", pre_key, [&](StoreLoadOutcome* o) {
-        LoadedModel l = load_model_from_store(pre_key, kind, mcfg, o);
-        if (l.model == nullptr) return false;
-        pre_from_store = true;
-        pre_it =
-            cache.emplace(pre_key, snapshot(*l.model, l.clean_test_acc)).first;
-        return true;
-      });
-      if (!cw.loaded) {
-        auto model = make_model(kind, mcfg);
-        counted_train(*model, data.train, TrainAlgo::kQAT, pre);
-        out.trained = true;
-        if (cw.saw_corrupt) store_note_retrain_after_corruption();
-        const double acc = evaluate_clean(*model, data.test);
-        pre_it = cache.emplace(pre_key, snapshot(*model, acc)).first;
-        persist_model(pre_key, *model, acc);
-        // cw's pre_key claim releases here, after the publish.
-      }
-    }
-    if (wants_finetune) {
-      // Phase 2: noisy-forward fine-tuning from the pretrained weights.
-      auto model = restore(pre_it->second);
-      TrainConfig fine = tcfg;
-      fine.lr = tcfg.lr * 0.5;
-      counted_train(*model, data.train, TrainAlgo::kQAVAT, fine);
-      out.trained = true;
-      if (key_corrupt) store_note_retrain_after_corruption();
-      const double acc = evaluate_clean(*model, data.test);
-      it = cache.emplace(key, snapshot(*model, acc)).first;
-      persist_model(key, *model, acc);
-      key_claim.release();  // publish done: waiters load the artifact now
-    } else {
-      // The alias stays memory-only — a warm run re-reaches the
-      // pretrained artifact through pre_key without training. (For plain
-      // kQAT, key == pre_key and this emplace finds the existing entry.)
-      it = cache.emplace(key, pre_it->second).first;
-      out.from_store = pre_from_store;
-    }
+std::vector<TrainUnit> training_units(ModelKind kind, const ModelConfig& mcfg,
+                                      ScenarioAlgo algo,
+                                      const SplitDataset& data,
+                                      const TrainConfig& tcfg) {
+  if (algo == ScenarioAlgo::kPTQVAT) {
+    return {make_unit(kind, mcfg, ScenarioAlgo::kPTQVAT, data, tcfg)};
   }
-  out.model = restore(it->second);
-  out.clean_test_acc = it->second.clean_test_acc;
-  return out;
+  std::vector<TrainUnit> plan = {pretrain_unit(kind, mcfg, data, tcfg)};
+  // Only a noisy QAVAT fine-tunes; kQAT and noise-free kQAVAT are the
+  // pretrain itself.
+  if (algo == ScenarioAlgo::kQAVAT && tcfg.train_noise.enabled()) {
+    plan.push_back(make_unit(kind, mcfg, ScenarioAlgo::kQAVAT, data, tcfg));
+  }
+  return plan;
 }
 
-TrainedModel train_ptq_vat_cached(ModelKind kind, const ModelConfig& mcfg,
-                                  const SplitDataset& data,
-                                  const TrainConfig& tcfg) {
-  const std::string key = train_key(kind, mcfg, "PTQVAT", data, tcfg);
-  auto& cache = model_cache();
-  TrainedModel out;
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    ClaimWait cw = claim_or_load("models", key, [&](StoreLoadOutcome* o) {
-      LoadedModel loaded = load_model_from_store(key, kind, mcfg, o);
-      if (loaded.model == nullptr) return false;
-      cache.emplace(key, snapshot(*loaded.model, loaded.clean_test_acc));
-      out.clean_test_acc = loaded.clean_test_acc;
-      out.model = std::move(loaded.model);
-      out.from_store = true;
-      return true;
-    });
-    if (cw.loaded) return out;
-    auto model = make_model(kind, mcfg);
+UnitOutcome produce_unit(const TrainUnit& unit, const SplitDataset& data) {
+  UnitOutcome out;
+  if (find_snapshot(unit.key) != nullptr) return out;
+  // Read-through with the work-claim protocol: probe the disk store for
+  // the finished model, and on a miss either claim the right to train it
+  // or wait for the process that already did (DESIGN §14). A fine-tune
+  // claims its own key before its pretrain's, so a waiter on the
+  // fine-tune never needs the pretrain.
+  ClaimWait cw = claim_or_load("models", unit.key, [&](StoreLoadOutcome* o) {
+    LoadedModel l = load_model_from_store(unit.key, unit.kind, unit.mcfg, o);
+    if (l.model == nullptr) return false;
+    cache_snapshot(unit.key, snapshot(*l.model, l.clean_test_acc));
+    return true;
+  });
+  if (cw.loaded) {
+    out.from_store = true;
+    return out;
+  }
+  std::unique_ptr<Module> model;
+  if (unit.algo == ScenarioAlgo::kQAT) {
+    model = make_model(unit.kind, unit.mcfg);
+    counted_train(*model, data.train, TrainAlgo::kQAT, unit.tcfg);
+  } else if (unit.algo == ScenarioAlgo::kQAVAT) {
+    // Noisy-forward fine-tuning from the pretrained weights, at half the
+    // learning rate. The pretrain is its own claim unit, trained by
+    // exactly one process fleet-wide.
+    const TrainUnit pre = pretrain_unit(unit.kind, unit.mcfg, data, unit.tcfg);
+    produce_unit(pre, data);
+    model = restore(*find_snapshot(pre.key));
+    TrainConfig fine = unit.tcfg;
+    fine.lr = unit.tcfg.lr * 0.5;
+    counted_train(*model, data.train, TrainAlgo::kQAVAT, fine);
+  } else {
+    model = make_model(unit.kind, unit.mcfg);
     model->set_quant_enabled(false);
     // Same total budget as the two-phase recipe: float pretrain + float VAT.
-    TrainConfig pre = tcfg;
+    TrainConfig pre = unit.tcfg;
     pre.train_noise = VariabilityConfig{};
     counted_train(*model, data.train, TrainAlgo::kQAT, pre);
-    TrainConfig vat = tcfg;
-    vat.lr = tcfg.lr * 0.5;
+    TrainConfig vat = unit.tcfg;
+    vat.lr = unit.tcfg.lr * 0.5;
     counted_train(*model, data.train, TrainAlgo::kQAVAT, vat);
-    out.trained = true;
     // Post-training quantization: MMSE weight grids; activation scales
     // were calibrated (EMA) during the float training forwards.
     model->set_quant_enabled(true);
     for (QuantLayerBase* q : model->quant_layers()) q->refresh_weight_scale();
-    if (cw.saw_corrupt) store_note_retrain_after_corruption();
-    const double acc = evaluate_clean(*model, data.test);
-    it = cache.emplace(key, snapshot(*model, acc)).first;
-    persist_model(key, *model, acc);
-    // cw's claim (if held) releases at scope exit, after the publish.
   }
-  out.model = restore(it->second);
-  out.clean_test_acc = it->second.clean_test_acc;
+  out.trained = true;
+  if (cw.saw_corrupt) store_note_retrain_after_corruption();
+  publish_trained(unit.key, std::move(model), data.test);
+  return out;  // cw's claim (if held) releases here, after the publish
+}
+
+bool unit_available(const TrainUnit& unit) {
+  return find_snapshot(unit.key) != nullptr || store_has("models", unit.key);
+}
+
+TrainedModel trained_model(const std::vector<TrainUnit>& plan,
+                           const SplitDataset& data) {
+  const UnitOutcome o = produce_unit(plan.back(), data);
+  const ModelSnapshot& snap = *find_snapshot(plan.back().key);
+  TrainedModel out;
+  out.model = restore(snap);
+  out.clean_test_acc = snap.clean_test_acc;
+  out.trained = o.trained;
+  out.from_store = o.from_store;
   return out;
+}
+
+TrainedModel train_cached(ModelKind kind, const ModelConfig& mcfg, TrainAlgo algo,
+                          const SplitDataset& data, const TrainConfig& tcfg) {
+  const ScenarioAlgo recipe =
+      algo == TrainAlgo::kQAT ? ScenarioAlgo::kQAT : ScenarioAlgo::kQAVAT;
+  return trained_model(training_units(kind, mcfg, recipe, data, tcfg), data);
 }
 
 ModelConfig default_model_config(ModelKind kind, index_t a_bits, index_t w_bits) {

@@ -24,11 +24,13 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/selftune/selftune.h"
 #include "core/train/trainer.h"
 #include "data/synth.h"
 #include "eval/evaluator.h"
+#include "eval/scenario.h"
 
 namespace qavat {
 
@@ -57,7 +59,8 @@ void clear_experiment_caches(bool drop_disk = false);
 /// Number of train() invocations this process has executed through the
 /// cached training entry points (QAT pretraining, QAVAT fine-tuning and
 /// the PTQ-VAT phases each count once). A fully warm-store run stays at
-/// 0 — the property the CI cold/warm gate asserts.
+/// 0 — the property the CI cold/warm gate asserts. Safe to read while
+/// training lanes run.
 index_t training_runs();
 
 struct TrainedModel {
@@ -67,31 +70,68 @@ struct TrainedModel {
   bool from_store = false;  ///< requested model was loaded from disk
 };
 
-/// Train through the model cache with the paper's two-phase recipe: QAT
-/// pretraining (shared across algorithms via its own cache entry), then —
-/// for kQAVAT — noisy-forward fine-tuning at half the learning rate.
-/// Returns a private clone; callers may mutate or reset it freely.
+/// One cached training unit: the model artifact one recipe phase
+/// produces, under its model-cache/store key — the claim unit the
+/// work-claim protocol serializes producers on.
+struct TrainUnit {
+  std::string key;  ///< canonical model-cache/store key
+  ModelKind kind = ModelKind::kLeNet5s;  ///< model zoo entry
+  ModelConfig mcfg;                      ///< bits + geometry + init seed
+  /// kQAT: the QAT pretrain (train noise cleared, one variation
+  /// sample); kQAVAT: the noisy fine-tune of that pretrain at half the
+  /// learning rate; kPTQVAT: float pretrain + float VAT + post-training
+  /// quantization, one artifact.
+  ScenarioAlgo algo = ScenarioAlgo::kQAT;
+  TrainConfig tcfg;  ///< the config the key derives from
+};
+
+/// The one plan of a model request: its training units in production
+/// order. kPTQVAT yields [PTQ-VAT]; kQAVAT with training noise yields
+/// [QAT pretrain, QAVAT fine-tune]; kQAT and noise-free kQAVAT yield
+/// [QAT pretrain]. The pretrain key ignores the train noise, so every
+/// algorithm of one workload shares it. The last unit is the requested
+/// model. trained_model, Session::claim_units and Session::run_all all
+/// consume this plan.
+std::vector<TrainUnit> training_units(ModelKind kind, const ModelConfig& mcfg,
+                                      ScenarioAlgo algo,
+                                      const SplitDataset& data,
+                                      const TrainConfig& tcfg);
+
+/// What produce_unit did to make a unit's model available.
+struct UnitOutcome {
+  bool trained = false;     ///< ran train() (a fine-tune counts its own
+                            ///< phase; an inline pretrain is included)
+  bool from_store = false;  ///< loaded the unit's artifact from the store
+};
+
+/// Make `unit`'s model available in the model cache: a memory hit, a
+/// store load, or training under the work-claim protocol (then publish
+/// to memory and store). A fine-tune whose pretrain is not cached yet
+/// produces the pretrain first, inline. The clean test accuracy is
+/// measured on a fresh restore of the trained model, after the
+/// training model and its batch caches are freed. Thread-safe for
+/// distinct units: training lanes call it concurrently.
+UnitOutcome produce_unit(const TrainUnit& unit, const SplitDataset& data);
+
+/// True when producing `unit` would train nothing: its model is in the
+/// memory cache or published in the store. Advisory, like any store
+/// probe — a corrupt artifact still makes produce_unit train.
+bool unit_available(const TrainUnit& unit);
+
+/// The requested (last) unit of `plan` as a private clone, produced
+/// through produce_unit, with the provenance of producing it. Callers
+/// may mutate or reset the model freely. kPTQVAT plans give the paper's
+/// "VAT" baseline: variability-aware training of the *float* model, then
+/// post-training quantization with MMSE scales.
+TrainedModel trained_model(const std::vector<TrainUnit>& plan,
+                           const SplitDataset& data);
+
+/// trained_model over the paper's two-phase recipe: QAT pretraining
+/// (shared across algorithms via its own cache entry), then — for
+/// kQAVAT — noisy-forward fine-tuning at half the learning rate.
 TrainedModel train_cached(ModelKind kind, const ModelConfig& mcfg,
                           TrainAlgo algo, const SplitDataset& data,
                           const TrainConfig& tcfg);
-
-/// The paper's "VAT" baseline: variability-aware training of the *float*
-/// model, then post-training quantization with MMSE scales.
-TrainedModel train_ptq_vat_cached(ModelKind kind, const ModelConfig& mcfg,
-                                  const SplitDataset& data,
-                                  const TrainConfig& tcfg);
-
-/// The canonical model-cache/store key of ONE cached training phase —
-/// exactly the key train_cached / train_ptq_vat_cached use for (kind,
-/// mcfg, algo token, dataset, tcfg), and therefore the claim unit the
-/// work-claim protocol serializes producers on. `algo` is the cache
-/// token: "QAT", "QAVAT" or "PTQVAT". Exposed so the claim-aware
-/// scheduler (Session::run_manifest) and tests can probe a unit's
-/// claim/artifact state non-destructively instead of entering the
-/// blocking read-through path.
-std::string train_cache_key(ModelKind kind, const ModelConfig& mcfg,
-                            const char* algo, const SplitDataset& data,
-                            const TrainConfig& tcfg);
 
 ModelConfig default_model_config(ModelKind kind, index_t a_bits, index_t w_bits);
 TrainConfig default_train_config(ModelKind kind);

@@ -2,14 +2,15 @@
 
 #include "eval/store.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <exception>
 #include <mutex>
-#include <thread>
 #include <utility>
+
+#include "tensor/parallel_for.h"
 
 namespace qavat {
 
@@ -18,10 +19,6 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-TrainAlgo train_algo_for(ScenarioAlgo algo) {
-  return algo == ScenarioAlgo::kQAT ? TrainAlgo::kQAT : TrainAlgo::kQAVAT;
 }
 
 // Advisory probe for the claim-aware scheduler: a spec is "blocked"
@@ -39,6 +36,27 @@ bool spec_blocked(const std::vector<ClaimUnitRef>& units) {
   return false;  // everything already produced: pure warm run
 }
 
+// The training plan of one spec (eval/experiment.h training_units).
+std::vector<TrainUnit> plan_of(const ScenarioSpec& spec,
+                               const SplitDataset& data) {
+  return training_units(spec.model, spec.model_cfg, spec.algo, data,
+                        spec.train);
+}
+
+// One deduplicated training unit of a run_all grid and what its lane
+// did with it. The plan fills the first four fields; the lanes write
+// the rest under run_all's mutex.
+struct LaneUnit {
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  TrainUnit unit;
+  const SplitDataset* data = nullptr;
+  bool needed = false;  ///< some spec's result depends on producing it
+  std::size_t pretrain = kNone;  ///< unit that must be done first
+  enum State { kPending, kRunning, kDone, kFailed } state = kPending;
+  UnitOutcome outcome;
+  std::exception_ptr error;
+};
+
 }  // namespace
 
 const SplitDataset& Session::dataset(ModelKind kind) {
@@ -49,17 +67,21 @@ const SplitDataset& Session::dataset(ModelKind kind) {
   return it->second;
 }
 
-TrainedModel Session::train_model(const ScenarioSpec& spec) {
+TrainedModel Session::train_spec(const ScenarioSpec& spec) {
   const SplitDataset& data = dataset(spec.model);
-  const auto t0 = std::chrono::steady_clock::now();
-  TrainedModel tm =
-      spec.algo == ScenarioAlgo::kPTQVAT
-          ? train_ptq_vat_cached(spec.model, spec.model_cfg, data, spec.train)
-          : train_cached(spec.model, spec.model_cfg, train_algo_for(spec.algo),
-                         data, spec.train);
-  train_seconds_ += seconds_since(t0);
+  return trained_model(plan_of(spec, data), data);
+}
+
+void Session::count_training(const TrainedModel& tm) {
   if (tm.trained) ++trained_;
   if (tm.from_store) ++model_store_hits_;
+}
+
+TrainedModel Session::train_model(const ScenarioSpec& spec) {
+  const auto t0 = std::chrono::steady_clock::now();
+  TrainedModel tm = train_spec(spec);
+  train_seconds_ += seconds_since(t0);
+  count_training(tm);
   return tm;
 }
 
@@ -114,103 +136,142 @@ std::vector<ScenarioResult> Session::run_all(
   if (specs.empty()) return results;
 
   // Resolve every dataset on this thread first: dataset() inserts into
-  // the per-session map, and once fully populated both pipeline stages
-  // only read it (concurrent map reads are safe; a concurrent insert is
-  // not).
+  // the per-session map, which the lanes then only read.
   for (const ScenarioSpec& spec : specs) dataset(spec.model);
 
-  // Depth-1 lookahead queue between the stages: while this thread
-  // evaluates scenario N (and writes its eval artifacts), the executor
-  // trains scenario N+1. The single slot bounds lookahead, so at most
-  // three trained models are alive at once (training / queued /
-  // evaluating). The stages touch disjoint state — trainer: model
-  // cache, store "models" bucket, train-side counters; consumer: eval
-  // cache, store "evals" bucket, eval-side counters — so the handoff
-  // mutex is the only synchronization needed.
-  struct Trained {
-    TrainedModel tm;
-    double train_seconds = 0.0;
-    std::exception_ptr error;
-  };
+  // Plan: every spec's training units, deduplicated by key. A spec's
+  // last unit is its model; the lanes produce that, plus the pretrain
+  // of any fine-tune that will have to train (a fine-tune already in
+  // memory or in the store loads without its pretrain, as in run()).
+  std::vector<LaneUnit> units;
+  std::vector<std::vector<std::size_t>> spec_units(specs.size());
+  std::map<std::string, std::size_t> by_key;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const ScenarioSpec& spec = specs[i];
+    for (TrainUnit& u : plan_of(spec, dataset(spec.model))) {
+      auto it = by_key.find(u.key);
+      if (it == by_key.end()) {
+        it = by_key.emplace(u.key, units.size()).first;
+        units.emplace_back();
+        units.back().unit = std::move(u);
+        units.back().data = &dataset(spec.model);
+      }
+      spec_units[i].push_back(it->second);
+    }
+    LaneUnit& target = units[spec_units[i].back()];
+    if (target.needed) continue;
+    target.needed = true;
+    if (spec_units[i].size() == 2 && !unit_available(target.unit)) {
+      target.pretrain = spec_units[i][0];
+      units[spec_units[i][0]].needed = true;
+    }
+  }
+  // Pick order: pretrains first (they unlock fine-tunes), then spec
+  // order.
+  std::vector<std::size_t> order;
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    if (units[u].needed) order.push_back(u);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     const bool pa = units[a].unit.algo == ScenarioAlgo::kQAT;
+                     const bool pb = units[b].unit.algo == ScenarioAlgo::kQAT;
+                     return pa && !pb;
+                   });
+
+  // Train: one outer pool span per lane. A lane takes the first ready
+  // unit in pick order (a fine-tune is ready once its pretrain is done),
+  // produces it — its Module and Workspace live only inside
+  // produce_unit — and records the outcome. Lanes that find nothing
+  // ready while units are still pending wait for a lane to finish. The
+  // first failure stops the lanes from starting new units; in-flight
+  // units finish and publish.
   std::mutex mu;
   std::condition_variable cv;
-  std::deque<Trained> ready;
-  bool abort = false;
-
-  std::thread executor([&] {
-    for (const ScenarioSpec& spec : specs) {
-      Trained t;
-      const auto t0 = std::chrono::steady_clock::now();
+  bool failed = false;
+  const auto lane = [&] {
+    std::unique_lock<std::mutex> lk(mu);
+    for (;;) {
+      if (failed) return;
+      LaneUnit* pick = nullptr;
+      bool pending = false;
+      for (const std::size_t u : order) {
+        LaneUnit& c = units[u];
+        if (c.state != LaneUnit::kPending) continue;
+        pending = true;
+        if (c.pretrain == LaneUnit::kNone ||
+            units[c.pretrain].state == LaneUnit::kDone) {
+          pick = &c;
+          break;
+        }
+      }
+      if (pick == nullptr) {
+        if (!pending) return;
+        cv.wait(lk);
+        continue;
+      }
+      pick->state = LaneUnit::kRunning;
+      lk.unlock();
+      UnitOutcome outcome;
+      std::exception_ptr error;
       try {
-        t.tm = train_model(spec);
+        outcome = produce_unit(pick->unit, *pick->data);
       } catch (...) {
-        t.error = std::current_exception();
+        error = std::current_exception();
       }
-      t.train_seconds = seconds_since(t0);
-      const bool stop_after = t.error != nullptr;
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [&] { return abort || ready.empty(); });
-      if (abort) return;
-      ready.push_back(std::move(t));
+      lk.lock();
+      pick->outcome = outcome;
+      pick->error = error;
+      pick->state = error ? LaneUnit::kFailed : LaneUnit::kDone;
+      failed = failed || error != nullptr;
       cv.notify_all();
-      // Sequential semantics: a failed training ends the run at that
-      // scenario; nothing trains past it.
-      if (stop_after) return;
     }
+  };
+  const index_t lanes =
+      std::min<index_t>(num_threads(), static_cast<index_t>(order.size()));
+  const auto t_train = std::chrono::steady_clock::now();
+  parallel_for(index_t{0}, lanes, index_t{1}, [&](index_t l0, index_t l1) {
+    for (index_t l = l0; l < l1; ++l) lane();
   });
-  // Join the executor however this scope exits — an eval exception must
-  // not leave a detached trainer running into a dead Session.
-  struct Joiner {
-    std::thread& th;
-    std::mutex& mu;
-    std::condition_variable& cv;
-    bool& abort;
-    ~Joiner() {
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        abort = true;
-      }
-      cv.notify_all();
-      if (th.joinable()) th.join();
-    }
-  } joiner{executor, mu, cv, abort};
+  train_seconds_ += seconds_since(t_train);
 
-  for (const ScenarioSpec& spec : specs) {
-    Trained t;
-    {
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [&] { return !ready.empty(); });
-      t = std::move(ready.front());
-      ready.pop_front();
-      cv.notify_all();  // free the slot: the executor may push the next
+  // Evaluate in spec order on this thread. Each unit's provenance goes
+  // to the first spec whose result needed it — a fine-tune that trained
+  // also claims its pretrain — so per-spec flags match a run() loop. A
+  // spec whose units the lanes left unstarted (after a failure) trains
+  // them here, as run() would; the first spec that needed a failed unit
+  // rethrows that unit's exception.
+  std::vector<bool> attributed(units.size(), false);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::vector<std::size_t>& plan = spec_units[i];
+    const LaneUnit& target = units[plan.back()];
+    if (target.error) std::rethrow_exception(target.error);
+    if (target.pretrain != LaneUnit::kNone && units[target.pretrain].error) {
+      std::rethrow_exception(units[target.pretrain].error);
     }
-    if (t.error) std::rethrow_exception(t.error);
+    const auto t0 = std::chrono::steady_clock::now();
+    TrainedModel tm = train_spec(specs[i]);
+    const double train_seconds = seconds_since(t0);
+    train_seconds_ += train_seconds;
+    if (!attributed[plan.back()]) {
+      attributed[plan.back()] = true;
+      tm.trained = tm.trained || target.outcome.trained;
+      tm.from_store = tm.from_store || target.outcome.from_store;
+      if (target.outcome.trained && plan.size() == 2) {
+        attributed[plan[0]] = true;
+      }
+    }
+    count_training(tm);
     ++scenarios_;
-    results.push_back(finish_scenario(spec, std::move(t.tm), t.train_seconds));
+    results.push_back(finish_scenario(specs[i], std::move(tm), train_seconds));
   }
   return results;
 }
 
 std::vector<ClaimUnitRef> Session::claim_units(const ScenarioSpec& spec) {
-  const SplitDataset& data = dataset(spec.model);
   std::vector<ClaimUnitRef> units;
-  if (spec.algo == ScenarioAlgo::kPTQVAT) {
-    units.push_back({"models", train_cache_key(spec.model, spec.model_cfg,
-                                               "PTQVAT", data, spec.train)});
-  } else {
-    // Phase 1, always: the QAT pretrain unit, keyed with the noise
-    // cleared — the same derivation train_cached applies.
-    TrainConfig pre = spec.train;
-    pre.train_noise = VariabilityConfig{};
-    pre.n_variation_samples = 1;
-    units.push_back({"models", train_cache_key(spec.model, spec.model_cfg,
-                                               "QAT", data, pre)});
-    // Phase 2 only when the spec actually fine-tunes; otherwise the
-    // full key is a memory-only alias of the pretrain artifact.
-    if (spec.algo == ScenarioAlgo::kQAVAT && spec.train.train_noise.enabled()) {
-      units.push_back({"models", train_cache_key(spec.model, spec.model_cfg,
-                                                 "QAVAT", data, spec.train)});
-    }
+  for (const TrainUnit& u : plan_of(spec, dataset(spec.model))) {
+    units.push_back({"models", u.key});
   }
   if (spec.deploy.enabled()) units.push_back({"evals", spec.key()});
   return units;

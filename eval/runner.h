@@ -45,6 +45,8 @@ struct SessionCounters {
   index_t evals_computed = 0;   ///< Monte-Carlo evals actually executed
   index_t eval_cache_hits = 0;  ///< evals served from memory/store
   double train_seconds = 0.0;   ///< wall time in training entry points
+                                ///< (run_all: its training phase's wall
+                                ///< time, not the sum over lanes)
   double eval_seconds = 0.0;    ///< wall time in evaluation entry points
 };
 
@@ -76,16 +78,26 @@ class Session {
   /// Train (through the cache/store) and evaluate one scenario.
   ScenarioResult run(const ScenarioSpec& spec);
 
-  /// Pipelined batch execution: a background executor thread trains
-  /// scenario N+1 (model cache + store "models" bucket) while the
-  /// calling thread Monte-Carlo evaluates scenario N and writes its
-  /// eval artifacts — the two stages touch disjoint caches/counters, so
-  /// overlap changes wall clock only. Results return in spec order and
-  /// carry the same numbers, provenance and timing a sequential run()
-  /// loop would produce (every stage is deterministic; a warm store
-  /// still yields byte-identical tables). A training failure surfaces
-  /// as the failing scenario's exception at its position in the order,
-  /// after the executor has drained; nothing runs past it.
+  /// Batch execution on training lanes: results return in spec order
+  /// and carry the same numbers and per-spec provenance a sequential
+  /// run() loop would produce.
+  ///  * Train: the specs' training units (eval/experiment.h
+  ///    training_units), deduplicated by key, run on
+  ///    min(num_threads(), units) lanes — one outer pool span each. A
+  ///    fine-tune starts once its pretrain is done; pretrains are picked
+  ///    first, then units in spec order. Each lane owns one Module and its
+  ///    Workspace per unit. Every unit still goes through the work-claim
+  ///    protocol, the only cross-process authority.
+  ///  * Evaluate: the specs, in order, on the calling thread (the
+  ///    evaluator's chip lanes run inside each evaluation).
+  ///  * Provenance: a unit's trained/from_store flags belong to the first
+  ///    spec that needs it; counters aggregate after the lanes join, and
+  ///    counters().train_seconds gains the training phase's wall time.
+  ///  * Failure: once a unit throws, no lane starts a new unit; in-flight
+  ///    units finish and publish. The specs before the first spec that
+  ///    needs the failed unit then complete (training, like run(), any
+  ///    unit the lanes left unstarted), and that spec rethrows the unit's
+  ///    exception; nothing after it is evaluated.
   std::vector<ScenarioResult> run_all(const std::vector<ScenarioSpec>& specs);
 
   /// Claim-aware batch execution over a manifest: results return in
@@ -107,10 +119,10 @@ class Session {
                                            SweepSchedule* schedule = nullptr);
 
   /// The work-claim units run(spec) would produce, in production order:
-  /// the QAT pretrain model (or the PTQ-VAT model), the QAVAT fine-tune
-  /// model when the spec fine-tunes, then the Monte-Carlo eval when
-  /// deploy noise is enabled. Mirrors the key derivation inside
-  /// eval/experiment.cpp; used by the scheduler and --dry-run to probe
+  /// the spec's training units (eval/experiment.h training_units — the
+  /// QAT pretrain, then the QAVAT fine-tune when the spec fine-tunes; or
+  /// the PTQ-VAT model), then the Monte-Carlo eval when deploy noise is
+  /// enabled. Used by the scheduler and --dry-run to probe
   /// artifact/claim state non-destructively.
   std::vector<ClaimUnitRef> claim_units(const ScenarioSpec& spec);
 
@@ -141,9 +153,13 @@ class Session {
   void print_summary(const char* name) const;
 
  private:
-  // Evaluation half of run(): everything after training — shared by the
-  // sequential and pipelined paths so their results are identical by
-  // construction. Touches only eval-side caches and counters.
+  // Training half of run(), without counting: the spec's model through
+  // the cached training entry points.
+  TrainedModel train_spec(const ScenarioSpec& spec);
+  // Add one spec's training provenance to the counters.
+  void count_training(const TrainedModel& tm);
+  // Evaluation half of run(): everything after training — shared by
+  // run() and run_all so their results are identical by construction.
   ScenarioResult finish_scenario(const ScenarioSpec& spec, TrainedModel tm,
                                  double train_seconds);
 

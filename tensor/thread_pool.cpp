@@ -41,8 +41,8 @@ struct Task {
 };
 
 // Index of the deque this thread owns: workers get their own, every
-// other thread (main, the Session executor) shares the external deque
-// at the back of the deque array (signalled by -1 here).
+// other thread (main, or any thread outside the pool) shares the
+// external deque at the back of the deque array (signalled by -1 here).
 thread_local int tl_deque = -1;
 // Nesting depth of span execution on this thread; drives
 // detail::in_parallel_region().

@@ -14,14 +14,21 @@
 //    zero-fill — resize_for_overwrite) to `shape`. The reference stays
 //    valid until the same key is acquired again or trim() runs; callers
 //    must treat the contents as unspecified and fully overwrite them.
+//  * Quant layers key their transient slots on the workspace itself,
+//    (ws, slot) rather than (layer, slot), so every layer of a model
+//    shares one set of slots and the model retains its largest layer's
+//    scratch, not the sum over layers. Such a slot's contents are dead
+//    once the layer call that acquired it returns: the next layer
+//    reuses (and may resize) the same buffer.
 //  * Buffers that must survive BETWEEN layer calls (e.g. a conv layer's
 //    im2col cache consumed by backward) are layer members, NOT workspace
 //    slots — trim() may free any slot at any sequence point between
 //    top-level forward/backward calls.
 //  * NOT thread-safe: one workspace per model, acquired only from the
-//    SINGLE thread driving forward/backward — with pipelined Session
-//    execution (eval/runner.h run_all) that driver is a different thread
-//    per model, never two threads on one model. Kernels parallelize
+//    SINGLE thread driving forward/backward — with training lanes
+//    (eval/runner.h run_all) or chip lanes (eval/evaluator.h) that driver
+//    is a different thread per model, never two threads on one model.
+//    Kernels parallelize
 //    internally via tensor/parallel_for.h; pool workers never re-enter
 //    acquire (parallel regions pre-acquire their scratch serially, e.g.
 //    the row-tile partials in pim/tiling.cpp). DriverScope makes the
@@ -60,8 +67,8 @@ class Workspace {
   /// (nested passes share the driver); opening a scope from a second
   /// thread while another driver's scope is live, or acquiring from a
   /// non-driver thread inside a scope, aborts with a diagnostic — the
-  /// fail-loud half of the single-driver contract that pipelined
-  /// sessions (eval/runner.h run_all) rely on. The checks are two
+  /// fail-loud half of the single-driver contract that training and
+  /// chip lanes rely on. The checks are two
   /// relaxed atomics, cheap enough to stay on in Release.
   class DriverScope {
    public:

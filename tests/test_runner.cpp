@@ -1,8 +1,10 @@
 // Direct Session coverage over the runner/claim stack: run_all's
 // spec-order bit-identity against a sequential run() loop (cold and
-// warm), provenance counter aggregation (counters()), failure
-// surfacing at the failing spec's position with nothing executing past
-// it, and the claim-aware scheduler's busy-skip behavior — a unit whose
+// warm), provenance counter aggregation (counters()), training lanes
+// at 1/2/4 threads against a run() loop (numbers, per-spec provenance,
+// counters, train() count), failure surfacing at the failing spec's
+// position with no new unit started after it, and the claim-aware
+// scheduler's busy-skip behavior — a unit whose
 // claim is held elsewhere is deferred, not waited on, and results still
 // return in manifest order. Runs against a private temp store
 // (QAVAT_STORE_DIR is set first thing in main, before any store call).
@@ -19,6 +21,7 @@
 #include "eval/manifest.h"
 #include "eval/runner.h"
 #include "eval/store.h"
+#include "tensor/parallel_for.h"
 #include "tests/test_common.h"
 
 using namespace qavat;
@@ -126,7 +129,6 @@ void test_run_all_matches_run_loop() {
 }
 
 void test_failure_position() {
-  clear_experiment_caches(true);
   // The bad spec's model geometry disagrees with the workload dataset
   // (image_size +4), so its first forward pass hits the always-on layer
   // input-shape check — a deterministic std::invalid_argument mid-grid.
@@ -135,25 +137,142 @@ void test_failure_position() {
   const std::vector<ScenarioSpec> specs = {tiny_spec(44, 0.1), bad,
                                            tiny_spec(55, 0.3)};
 
-  Session session;
-  bool threw = false;
-  try {
-    session.run_all(specs);
-  } catch (const std::invalid_argument&) {
-    threw = true;
+  for (const index_t nt : {1, 4}) {
+    set_num_threads(nt);
+    clear_experiment_caches(true);
+    Session session;
+    const index_t runs0 = training_runs();
+    bool threw = false;
+    try {
+      session.run_all(specs);
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+    CHECK(threw);
+    // The spec before the failure completed; nothing after it evaluated.
+    const SessionCounters c = session.counters();
+    CHECK(c.scenarios == 1);
+    // No lane starts a unit once the failure is seen, and units in
+    // flight finish and publish: every train() run but the failed one
+    // left a published model and no live claim.
+    index_t published = 0;
+    for (const ScenarioSpec& s : specs) {
+      for (const ClaimUnitRef& u : session.claim_units(s)) {
+        CHECK(!store_claim_busy(u.bucket, u.key));
+        if (std::string(u.bucket) == "models" && store_has(u.bucket, u.key)) {
+          ++published;
+        }
+      }
+    }
+    CHECK(training_runs() - runs0 == published + 1);
+    // And the completed spec's artifacts did publish.
+    for (const ClaimUnitRef& u : session.claim_units(specs[0])) {
+      CHECK(store_has(u.bucket, u.key));
+    }
+    // One lane takes the pretrains in spec order, so the failure comes
+    // before any unit of the spec after it has started.
+    if (nt == 1) {
+      for (const ClaimUnitRef& u : session.claim_units(specs[2])) {
+        CHECK(!store_has(u.bucket, u.key));
+      }
+    }
   }
-  CHECK(threw);
-  // Sequential semantics: the spec before the failure completed, the
-  // one after it never started.
-  const SessionCounters c = session.counters();
-  CHECK(c.scenarios == 1);
-  const std::vector<ClaimUnitRef> after = session.claim_units(specs[2]);
-  CHECK(!after.empty());
-  CHECK(!store_has(after[0].bucket, after[0].key));
-  // And the completed spec's artifacts did publish.
-  const std::vector<ClaimUnitRef> before = session.claim_units(specs[0]);
-  CHECK(!before.empty());
-  CHECK(store_has(before[0].bucket, before[0].key));
+  set_num_threads(0);  // back to QAVAT_THREADS
+}
+
+// A grid with a shared pretrain (the QAT spec and two QAVAT sigmas of
+// one LeNet-5s workload), a PTQ-VAT spec and a second model kind. The
+// first QAVAT spec precedes the QAT spec, so a run() loop attributes
+// the pretrain's training to it and reports the QAT spec as a memory
+// hit; the VGG-11s spec comes last in spec order, but its pretrain is
+// picked before the LeNet-5s fine-tunes and the PTQ-VAT unit.
+std::vector<ScenarioSpec> lane_grid() {
+  auto lenet = [](ScenarioAlgo algo, double sigma) {
+    ScenarioSpec s = ScenarioSpec::within(
+        ModelKind::kLeNet5s, 4, 4, algo, VarianceModel::kWeightProportional,
+        sigma);
+    s.train.epochs = 1;
+    s.eval.n_chips = 2;
+    s.eval.max_test_samples = 32;
+    return s;
+  };
+  ScenarioSpec vgg =
+      ScenarioSpec::base(ModelKind::kVGG11s, 4, 4, ScenarioAlgo::kQAT);
+  vgg.train.epochs = 1;
+  return {lenet(ScenarioAlgo::kQAVAT, 0.1), lenet(ScenarioAlgo::kQAT, 0.1),
+          lenet(ScenarioAlgo::kPTQVAT, 0.1), lenet(ScenarioAlgo::kQAVAT, 0.3),
+          vgg};
+}
+
+bool same_provenance(const ScenarioResult& a, const ScenarioResult& b) {
+  return a.trained == b.trained && a.model_from_store == b.model_from_store &&
+         a.eval_computed == b.eval_computed;
+}
+
+bool same_counters(const SessionCounters& a, const SessionCounters& b) {
+  return a.scenarios == b.scenarios && a.trained == b.trained &&
+         a.model_store_hits == b.model_store_hits &&
+         a.evals_computed == b.evals_computed &&
+         a.eval_cache_hits == b.eval_cache_hits;
+}
+
+// What one pass over the grid produced, with its train() count.
+struct GridRun {
+  std::vector<ScenarioResult> results;
+  SessionCounters counters;
+  index_t train_runs = 0;
+};
+
+GridRun run_grid(const std::vector<ScenarioSpec>& specs, bool lanes) {
+  GridRun g;
+  Session session;
+  const index_t runs0 = training_runs();
+  if (lanes) {
+    g.results = session.run_all(specs);
+  } else {
+    for (const ScenarioSpec& s : specs) g.results.push_back(session.run(s));
+  }
+  g.counters = session.counters();
+  g.train_runs = training_runs() - runs0;
+  return g;
+}
+
+void check_same_run(const GridRun& lanes, const GridRun& loop) {
+  CHECK(lanes.results.size() == loop.results.size());
+  for (std::size_t i = 0; i < lanes.results.size(); ++i) {
+    CHECK(results_identical(lanes.results[i], loop.results[i]));
+    CHECK(same_provenance(lanes.results[i], loop.results[i]));
+  }
+  CHECK(same_counters(lanes.counters, loop.counters));
+  CHECK(lanes.train_runs == loop.train_runs);
+}
+
+void test_run_all_lanes_match_run_loop() {
+  const std::vector<ScenarioSpec> specs = lane_grid();
+
+  // Sequential references: cold, then warm through the store.
+  clear_experiment_caches(true);
+  const GridRun cold_loop = run_grid(specs, false);
+  clear_experiment_caches(false);
+  const GridRun warm_loop = run_grid(specs, false);
+  CHECK(cold_loop.train_runs == 6);  // pretrain, 2 fine-tunes, 2 PTQ-VAT
+                                     // phases, VGG pretrain
+  CHECK(cold_loop.results[0].trained);
+  CHECK(!cold_loop.results[1].trained);  // the pretrain is a memory hit
+  CHECK(warm_loop.train_runs == 0);
+
+  for (const index_t nt : {1, 2, 4}) {
+    set_num_threads(nt);
+    clear_experiment_caches(true);
+    const GridRun cold = run_grid(specs, true);
+    check_same_run(cold, cold_loop);
+    // A warm rerun trains nothing and reports what a warm loop reports.
+    clear_experiment_caches(false);
+    const GridRun warm = run_grid(specs, true);
+    check_same_run(warm, warm_loop);
+    CHECK(warm.counters.trained == 0);
+  }
+  set_num_threads(0);  // back to QAVAT_THREADS
 }
 
 void test_scheduler_busy_skip() {
@@ -223,6 +342,7 @@ int main() {
 
   test_run_all_matches_run_loop();
   test_failure_position();
+  test_run_all_lanes_match_run_loop();
   test_scheduler_busy_skip();
 
   fs::remove_all(store_dir, ec);

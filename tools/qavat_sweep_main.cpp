@@ -18,7 +18,7 @@
 //       compute, so no pool threads cross fork) over the shared store;
 //       the parent asserts every worker's result vector is
 //       byte-identical and prints worker 0's. --sequential uses the
-//       plain pipelined run_all — the byte-comparable reference the CI
+//       plain lane-trained run_all — the byte-comparable reference the CI
 //       manifest gate diffs the scheduler paths against. --dry-run
 //       probes each spec's claim units (done/busy/ready) and runs
 //       nothing.
