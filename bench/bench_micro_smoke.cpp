@@ -111,7 +111,7 @@ void BM_PoolDispatch(benchmark::State& state) {
 BENCHMARK(BM_PoolDispatch)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // Monte-Carlo deployment evaluation of a LeNet-5s under mixed variability.
-// Arg = chip_batch (1 = sequential chip loop, 8 = noise-batched forward);
+// Arg = chip_batch (1 = one chip per forward, 8 = noise-batched forward);
 // per-chip accuracies are identical, only throughput differs.
 void BM_MonteCarloEval(benchmark::State& state) {
   SynthDigitsConfig dcfg;

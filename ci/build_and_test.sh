@@ -73,9 +73,13 @@ fi
 
 # Optional ASan+UBSan pass over the decoders of disk and user input
 # (Debug, -fno-sanitize-recover so any report fails the run).
-# test_fuzz_decoders feeds them mutated and deeply nested documents. The
-# flags go through CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS, so the pass
-# needs no CMake option. Probed at runtime like the TSan pass.
+# test_fuzz_decoders feeds them mutated and deeply nested documents.
+# test_eval_batched, test_store, test_store_faults and test_train_smoke
+# cover the NoiseState slot writes, the model cache and the eval cache.
+# The store tests and test_lifetime run on their own private stores and
+# need persistence, so they keep the store on. The flags go through
+# CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS, so the pass needs no CMake
+# option. Probed at runtime like the TSan pass.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${REPO_ROOT}/build-asan}"
 ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 if "${CXX:-c++}" ${ASAN_FLAGS} "${TSAN_PROBE}/probe.cc" \
@@ -85,15 +89,18 @@ if "${CXX:-c++}" ${ASAN_FLAGS} "${TSAN_PROBE}/probe.cc" \
   cmake -B "${ASAN_BUILD_DIR}" -S "${REPO_ROOT}" -DCMAKE_BUILD_TYPE=Debug \
         -DCMAKE_CXX_FLAGS="${ASAN_FLAGS}" \
         -DCMAKE_EXE_LINKER_FLAGS="${ASAN_FLAGS}"
-  cmake --build "${ASAN_BUILD_DIR}" -j "${JOBS}" \
-        --target test_scenario_json test_lifetime test_fuzz_decoders
-  for t in test_scenario_json test_lifetime test_fuzz_decoders; do
+  ASAN_TESTS=(test_scenario_json test_lifetime test_fuzz_decoders
+              test_eval_batched test_store test_store_faults test_train_smoke)
+  cmake --build "${ASAN_BUILD_DIR}" -j "${JOBS}" --target "${ASAN_TESTS[@]}"
+  for t in "${ASAN_TESTS[@]}"; do
     echo "-- asan+ubsan ${t} --"
     store=0
-    if [[ "${t}" == test_lifetime ]]; then store=1; fi
+    case "${t}" in
+      test_lifetime | test_store | test_store_faults) store=1 ;;
+    esac
     QAVAT_FAST=1 QAVAT_STORE="${store}" "${ASAN_BUILD_DIR}/${t}"
   done
-  echo "asan+ubsan: OK (test_scenario_json test_lifetime test_fuzz_decoders)"
+  echo "asan+ubsan: OK (${ASAN_TESTS[*]})"
 else
   echo "asan+ubsan: toolchain has no usable ASan/UBSan runtime - skipped"
 fi

@@ -132,8 +132,8 @@ void QuantLayerBase::compute_effective_weight() {
   if (nb > 1) {
     // Noise-batched (inference-only) path: one shared quantize-dequantize
     // pass, then `nb` stacked per-chip perturbations. Per-chip arithmetic
-    // is identical to the scalar path below, so a batched forward is
-    // bit-identical to nb sequential single-chip forwards.
+    // is identical to the one-chip path below, so a batched forward is
+    // bit-identical to nb single-chip forwards.
     if (training_) {
       throw std::logic_error(
           "compute_effective_weight: batched noise is inference-only");
@@ -149,7 +149,7 @@ void QuantLayerBase::compute_effective_weight() {
     }
     const index_t wsize = weight_.value.size();
     if (noise_.eps.size() != nb * wsize ||
-        static_cast<index_t>(noise_.eps_b_v.size()) != nb) {
+        static_cast<index_t>(noise_.eps_b.size()) != nb) {
       throw std::invalid_argument(
           "compute_effective_weight: noise state not sized for batch " +
           std::to_string(nb) + " (use ensure_noise_batch)");
@@ -162,7 +162,7 @@ void QuantLayerBase::compute_effective_weight() {
     const float unit = noise_.wmax;
     auto fill_slots = [&](index_t b0, index_t b1) {
       for (index_t b = b0; b < b1; ++b) {
-        const float eps_b = noise_.eps_b_v[static_cast<std::size_t>(b)];
+        const float eps_b = noise_.eps_b[static_cast<std::size_t>(b)];
         const float* eps = eps_all + b * wsize;
         float* out = out_all + b * wsize;
         if (wp) {
@@ -198,7 +198,7 @@ void QuantLayerBase::compute_effective_weight() {
   assert(noise_.eps.size() == weff_.size());
   float* w = weff_.data();
   const float* eps = noise_.eps.data();
-  const float eps_b = noise_.eps_b;
+  const float eps_b = noise_.eps_b[0];
   if (noise_.model == VarianceModel::kWeightProportional) {
     parallel_for_elems(weff_.size(), [w, eps, eps_b](index_t i0, index_t i1) {
       for (index_t i = i0; i < i1; ++i) w[i] *= 1.0f + eps[i] + eps_b;
@@ -292,13 +292,11 @@ void QuantLayerBase::apply_correction(Tensor& y2d,
   if (noise_.correction == CorrectionKind::kNone) return;
   const index_t rows = y2d.dim(0), cols = y2d.dim(1);
   const index_t nb = noise_.batch;
-  const index_t rows_per = nb > 1 ? rows / nb : rows;  // rows per chip slot
+  const index_t rows_per = rows / nb;  // rows per chip slot
   float* y = y2d.data();
-  for (index_t b = 0; b < (nb > 1 ? nb : 1); ++b) {
-    const float eps_hat =
-        nb > 1 ? noise_.eps_hat_v[static_cast<std::size_t>(b)] : noise_.eps_hat;
-    const float ltm_err =
-        nb > 1 ? noise_.ltm_err_v[static_cast<std::size_t>(b)] : noise_.ltm_err;
+  for (index_t b = 0; b < nb; ++b) {
+    const float eps_hat = noise_.eps_hat[static_cast<std::size_t>(b)];
+    const float ltm_err = noise_.ltm_err[static_cast<std::size_t>(b)];
     const index_t r0 = b * rows_per, r1 = r0 + rows_per;
     if (noise_.correction == CorrectionKind::kScale) {
       float denom = 1.0f + eps_hat;
@@ -327,7 +325,7 @@ void QuantLayerBase::accumulate_weight_grad(const Tensor& grad_weff) {
   const float* g = grad_weff.data();
   const float* eps = reparam_factor ? noise_.eps.data() : nullptr;
   const float* m = masked ? w_mask_.data() : nullptr;
-  const float eps_b = noise_.eps_b;
+  const float eps_b = noise_.eps_b[0];
   float* acc = weight_.grad.data();
   parallel_for_elems(grad_weff.size(),
                      [g, eps, m, eps_b, acc](index_t i0, index_t i1) {

@@ -43,29 +43,27 @@ enum class CorrectionKind { kNone, kScale, kOffset };
 /// Per-layer variability realization, set by sample_variability() / the
 /// evaluator before a forward pass and cleared afterwards.
 ///
-/// The state optionally carries a *noise-batch axis* of `batch` simulated
+/// Every realization carries a *noise-batch axis* of `batch` simulated
 /// chips (ensure_noise_batch / sample_variability_slot in
-/// core/variability/variability.h): `eps` then holds `batch` stacked
-/// per-weight draws and the *_v vectors hold one chip-level value per
-/// slot. A forward pass with batch > 1 treats its input rows as `batch`
-/// equal chip-major groups and multiplies each group by that chip's
-/// effective weights — the batched Monte-Carlo evaluation path. With
-/// batch == 1 the scalar fields drive the (unchanged) single-chip path.
+/// core/variability/variability.h); one chip — training, the circuit
+/// backend, a one-chip group — is batch 1. Invariant: every chip-level
+/// vector holds one value per slot (`batch` entries), and an active
+/// state's `eps` holds `batch` stacked per-weight draws {batch, fan_out,
+/// fan_in}. A forward pass with batch > 1 treats its input rows as
+/// `batch` equal chip-major groups and multiplies each group by that
+/// chip's effective weights — the batched Monte-Carlo evaluation path.
 struct NoiseState {
   bool active = false;
   VarianceModel model = VarianceModel::kWeightProportional;
-  Tensor eps;           // per-weight within-chip draw(s), already scaled by
-                        // sigma_w; {batch, fan_out, fan_in} when batch > 1
+  Tensor eps;           // per-weight within-chip draws, already scaled by
+                        // sigma_w: {batch, fan_out, fan_in}
   index_t batch = 1;    // noise-batch axis: simulated chips per forward
-  float eps_b = 0.0f;   // chip-level correlated deviation
   float wmax = 0.0f;    // max |dequantized weight| at sample time (layer-fixed unit)
   CorrectionKind correction = CorrectionKind::kNone;
-  float eps_hat = 0.0f;  // GTM estimate of eps_b (incl. measurement error)
-  float ltm_err = 0.0f;  // relative error of the LTM activation-sum readout
-  // Per-slot chip-level values, used instead of the scalars when batch > 1.
-  std::vector<float> eps_b_v;
-  std::vector<float> eps_hat_v;
-  std::vector<float> ltm_err_v;
+  // Chip-level values, one per slot.
+  std::vector<float> eps_b{0.0f};    // correlated between-chip deviation
+  std::vector<float> eps_hat{0.0f};  // GTM estimate of eps_b (incl. measurement error)
+  std::vector<float> ltm_err{0.0f};  // relative error of the LTM activation-sum readout
   // Bumped on every mutation (sampling, resizing, clearing); lets the
   // batched forward reuse its stacked effective weights across the test
   // batches of one chip group instead of rebuilding them per batch.
@@ -74,11 +72,10 @@ struct NoiseState {
   void clear() {
     active = false;
     correction = CorrectionKind::kNone;
-    eps_b = eps_hat = ltm_err = 0.0f;
     batch = 1;
-    eps_b_v.clear();
-    eps_hat_v.clear();
-    ltm_err_v.clear();
+    eps_b.assign(1, 0.0f);
+    eps_hat.assign(1, 0.0f);
+    ltm_err.assign(1, 0.0f);
     ++revision;
   }
 };
@@ -188,8 +185,8 @@ class QuantLayerBase : public Layer {
   /// variability unit).
   float dequant_weight_max() const;
 
-  /// Active noise-batch width: chips simulated per forward (1 = scalar
-  /// path). Inputs to forward() must carry rows_per_chip * noise_batch()
+  /// Active noise-batch width: chips simulated per forward (1 = one
+  /// chip). Inputs to forward() must carry rows_per_chip * noise_batch()
   /// rows, grouped chip-major.
   index_t noise_batch() const { return noise_.active ? noise_.batch : 1; }
 

@@ -59,7 +59,7 @@ void draw_chip_noise(const std::vector<QuantLayerBase*>& qlayers,
                           : 0.0f;
   for (QuantLayerBase* q : qlayers) {
     sample_variability(*q, noise, rng);
-    q->noise_state().eps_b = eps_b;
+    q->noise_state().eps_b[0] = eps_b;
   }
 }
 

@@ -9,26 +9,12 @@ namespace qavat {
 
 void sample_variability(QuantLayerBase& layer, const VariabilityConfig& cfg,
                         Rng& rng) {
-  NoiseState& ns = layer.noise_state();
   if (!cfg.enabled()) {
-    ns.clear();
+    layer.noise_state().clear();
     return;
   }
-  ns.model = cfg.model;
-  ns.wmax = layer.dequant_weight_max();
-  ns.batch = 1;  // scalar sampling always collapses a batched state
-  if (ns.eps.size() != layer.weight().value.size()) {
-    ns.eps.resize(layer.weight().value.shape());
-  }
-  if (cfg.sigma_w > 0.0) {
-    fill_normal(ns.eps, rng, 0.0, cfg.sigma_w);
-  } else {
-    ns.eps.zero();
-  }
-  ns.eps_b = cfg.sigma_b > 0.0 ? static_cast<float>(rng.normal(0.0, cfg.sigma_b))
-                               : 0.0f;
-  ns.active = true;
-  ++ns.revision;
+  ensure_noise_batch(layer, 1);
+  sample_variability_slot(layer, cfg, rng, 0);
 }
 
 void ensure_noise_batch(QuantLayerBase& layer, index_t batch) {
@@ -40,9 +26,9 @@ void ensure_noise_batch(QuantLayerBase& layer, index_t batch) {
   ns.batch = batch;
   const auto& wshape = layer.weight().value.shape();
   ns.eps.resize({batch, wshape[0], wshape[1]});
-  ns.eps_b_v.assign(static_cast<std::size_t>(batch), 0.0f);
-  ns.eps_hat_v.assign(static_cast<std::size_t>(batch), 0.0f);
-  ns.ltm_err_v.assign(static_cast<std::size_t>(batch), 0.0f);
+  ns.eps_b.assign(static_cast<std::size_t>(batch), 0.0f);
+  ns.eps_hat.assign(static_cast<std::size_t>(batch), 0.0f);
+  ns.ltm_err.assign(static_cast<std::size_t>(batch), 0.0f);
   ++ns.revision;
 }
 
@@ -59,12 +45,12 @@ void sample_variability_slot_draws(QuantLayerBase& layer,
   float* eps = ns.eps.data() + slot * wsize;
   if (!cfg.enabled()) {
     for (index_t i = 0; i < wsize; ++i) eps[i] = 0.0f;
-    ns.eps_b_v[static_cast<std::size_t>(slot)] = 0.0f;
+    ns.eps_b[static_cast<std::size_t>(slot)] = 0.0f;
     return;
   }
-  // Same draw order as sample_variability: the within-chip field first,
-  // then the layer-local between-chip value (overwritten by the evaluator
-  // with the chip-shared draw, but consuming the same RNG stream).
+  // The within-chip field first, then the layer-local between-chip value
+  // (overwritten by the evaluator with the chip-shared draw, but
+  // consuming the same RNG stream).
   if (cfg.sigma_w > 0.0) {
     for (index_t i = 0; i < wsize; ++i) {
       eps[i] = static_cast<float>(rng.normal(0.0, cfg.sigma_w));
@@ -72,7 +58,7 @@ void sample_variability_slot_draws(QuantLayerBase& layer,
   } else {
     for (index_t i = 0; i < wsize; ++i) eps[i] = 0.0f;
   }
-  ns.eps_b_v[static_cast<std::size_t>(slot)] =
+  ns.eps_b[static_cast<std::size_t>(slot)] =
       cfg.sigma_b > 0.0 ? static_cast<float>(rng.normal(0.0, cfg.sigma_b)) : 0.0f;
 }
 
@@ -89,6 +75,24 @@ void sample_variability_slot(QuantLayerBase& layer, const VariabilityConfig& cfg
     // quantize-dequantize pass per call.
     if (slot == 0) ns.wmax = layer.dequant_weight_max();
     ns.active = true;
+  }
+}
+
+void prepare_noise_group(const std::vector<QuantLayerBase*>& qlayers,
+                         index_t batch, VarianceModel model, bool activate,
+                         CorrectionKind correction) {
+  for (QuantLayerBase* q : qlayers) {
+    ensure_noise_batch(*q, batch);
+    NoiseState& ns = q->noise_state();
+    ns.active = activate;
+    if (activate) {
+      ns.model = model;
+      // wmax is a property of the frozen weights, not of the chip:
+      // bit-identical across slots, so once per group is enough (and
+      // dequant_weight_max runs a full quantize-dequantize pass).
+      ns.wmax = q->dequant_weight_max();
+    }
+    ns.correction = correction;
   }
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cmath>
+#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -57,36 +58,50 @@ inline double w_unit_from_max(float wmax) {
 }
 
 class QuantLayerBase;
+enum class CorrectionKind;  // core/quant/qlayers.h
 
-/// Draw a fresh within-chip noise realization (and a layer-local
-/// between-chip draw when cfg.sigma_b > 0) into the layer's NoiseState and
-/// activate it. Chip-level evaluation overwrites eps_b afterwards with the
-/// one shared per-chip draw.
+/// Draw a fresh one-chip noise realization into the layer's NoiseState
+/// and activate it: batch 1 (ensure_noise_batch) filled by
+/// sample_variability_slot into slot 0 — the within-chip field, then a
+/// layer-local between-chip draw into eps_b[0] when cfg.sigma_b > 0.
+/// Callers that share one between-chip draw across a chip's layers
+/// overwrite eps_b[0] afterwards. With cfg disabled the state is cleared
+/// and no RNG draws are consumed.
 void sample_variability(QuantLayerBase& layer, const VariabilityConfig& cfg,
                         Rng& rng);
 
 /// Size the layer's NoiseState for a noise batch of `batch` simulated
-/// chips: eps becomes {batch, fan_out, fan_in} and the per-slot chip-level
-/// vectors (eps_b/eps_hat/ltm_err) get `batch` zeroed entries. Does not
-/// activate the state; fill slots with sample_variability_slot().
+/// chips: eps becomes {batch, fan_out, fan_in} and the chip-level vectors
+/// (eps_b/eps_hat/ltm_err) get `batch` zeroed entries. Does not activate
+/// the state; fill slots with sample_variability_slot().
 void ensure_noise_batch(QuantLayerBase& layer, index_t batch);
 
-/// Slot-wise counterpart of sample_variability for a batched NoiseState:
-/// fills slot `slot` with the exact same RNG draw sequence (so a chip
-/// sampled into a slot is identical to the same chip sampled via
-/// sample_variability from the same Rng state). With cfg disabled the slot
-/// is zeroed and no RNG draws are consumed, mirroring the scalar path.
+/// Fill slot `slot` of a batched NoiseState: the within-chip field, then
+/// the layer-local between-chip value, from `rng` in that order, so a
+/// chip sampled into any slot is identical to the same chip sampled into
+/// slot 0 of a batch-1 state from the same Rng state. With cfg disabled
+/// the slot is zeroed and no RNG draws are consumed.
 void sample_variability_slot(QuantLayerBase& layer, const VariabilityConfig& cfg,
                              Rng& rng, index_t slot);
 
 /// Slot-PURE core of sample_variability_slot: identical RNG draws and
-/// per-slot writes (the slot's eps slice and eps_b_v entry), but none of
+/// per-slot writes (the slot's eps slice and eps_b entry), but none of
 /// the NoiseState-wide writes (revision, model, wmax, active). Distinct
-/// slots touch disjoint storage, so the batched evaluator samples chips
-/// into their slots from a parallel_for — the caller hoists the shared
-/// writes into a serial per-group prologue (eval/evaluator.cpp).
+/// slots touch disjoint storage, so the evaluator and the fleet sample
+/// chips into their slots from a parallel_for — the caller hoists the
+/// shared writes into prepare_noise_group.
 void sample_variability_slot_draws(QuantLayerBase& layer,
                                    const VariabilityConfig& cfg, Rng& rng,
                                    index_t slot);
+
+/// Serial prologue of one chip group: size every layer's NoiseState for
+/// `batch` chips (ensure_noise_batch, which zeroes the chip-level slots
+/// and bumps the revision that invalidates cached effective weights and
+/// int8 planes), set `active` to `activate` — with the variance `model`
+/// and the layer's wmax when activating — and install `correction`. The
+/// group's chips are then sampled with sample_variability_slot_draws.
+void prepare_noise_group(const std::vector<QuantLayerBase*>& qlayers,
+                         index_t batch, VarianceModel model, bool activate,
+                         CorrectionKind correction);
 
 }  // namespace qavat

@@ -35,16 +35,13 @@ namespace {
 
 // Draw chip `chip`'s full noise realization into slot `slot` of every
 // layer's batched state. The RNG is seeded explicitly from the chip index
-// — Rng(seed, chip) — and the draw order (chip eps_B, GTM measurement,
-// then per layer: within-chip field, layer eps_B, LTM error) matches the
-// sequential path exactly, so batched and sequential evaluation sample
-// identical chips.
+// — Rng(seed, chip) — in the draw order chip eps_B, GTM measurement, then
+// per layer: within-chip field, layer eps_B, LTM error; so a chip's
+// realization never depends on its group or slot.
 // Slot-pure: touches only slot `slot`'s disjoint storage (the eps slice
 // and the eps_b/eps_hat/ltm_err vector entries) — the NoiseState-wide
-// fields are written once per group by prepare_noise_group below — so
-// the chips of a group can be sampled from a parallel_for. The batch==1
-// scalar-field mirror is the one exception, and a one-chip group never
-// dispatches in parallel.
+// fields are written once per group by prepare_noise_group — so the
+// chips of a group can be sampled from a parallel_for.
 void sample_chip_into_slot(std::vector<QuantLayerBase*>& qlayers,
                            const VariabilityConfig& vcfg, const EvalConfig& ecfg,
                            const SelfTuneConfig* st, index_t chip, index_t slot) {
@@ -53,56 +50,24 @@ void sample_chip_into_slot(std::vector<QuantLayerBase*>& qlayers,
   const bool tune = st != nullptr && st->mode != SelfTuneMode::kNone;
   const double eps_hat =
       tune ? measure_eps_b(eps_b, vcfg.sigma_w, st->gtm_cells, rng) : 0.0;
+  const auto s = static_cast<std::size_t>(slot);
   for (QuantLayerBase* q : qlayers) {
     sample_variability_slot_draws(*q, vcfg, rng, slot);
     NoiseState& ns = q->noise_state();
-    ns.eps_b_v[static_cast<std::size_t>(slot)] = static_cast<float>(eps_b);
+    ns.eps_b[s] = static_cast<float>(eps_b);
     if (tune) {
-      ns.eps_hat_v[static_cast<std::size_t>(slot)] = static_cast<float>(eps_hat);
-      ns.ltm_err_v[static_cast<std::size_t>(slot)] = static_cast<float>(
+      ns.eps_hat[s] = static_cast<float>(eps_hat);
+      ns.ltm_err[s] = static_cast<float>(
           ltm_readout_error(vcfg.sigma_w, st->ltm_columns, rng));
     }
-    if (ns.batch == 1) {
-      // A single-chip group (e.g. the ragged tail of n_chips % chip_batch
-      // == 1) runs through the scalar forward path, which reads the
-      // scalar fields — mirror slot 0 into them.
-      ns.eps_b = ns.eps_b_v[0];
-      ns.eps_hat = ns.eps_hat_v[0];
-      ns.ltm_err = ns.ltm_err_v[0];
-    }
-  }
-}
-
-// Serial per-group prologue: size every layer's batched state and apply
-// the NoiseState-wide writes that sample_variability_slot would have
-// made per chip (model/wmax/active, the self-tune correction, and the
-// one revision bump that invalidates cached effective weights / int8
-// planes for the new group). Hoisting them here is what makes the
-// per-chip sampling above safe to run from a parallel_for.
-void prepare_noise_group(std::vector<QuantLayerBase*>& qlayers,
-                         const VariabilityConfig& vcfg,
-                         const SelfTuneConfig* st, index_t nb) {
-  const bool tune = st != nullptr && st->mode != SelfTuneMode::kNone;
-  for (QuantLayerBase* q : qlayers) {
-    ensure_noise_batch(*q, nb);
-    NoiseState& ns = q->noise_state();
-    if (vcfg.enabled()) {
-      ns.model = vcfg.model;
-      // wmax is a property of the frozen weights, not of the chip:
-      // bit-identical across slots, so once per group is enough (and
-      // dequant_weight_max runs a full quantize-dequantize pass).
-      ns.wmax = q->dequant_weight_max();
-      ns.active = true;
-    }
-    if (tune) ns.correction = correction_for(st->mode);
   }
 }
 
 // Accuracy of the `nb` chips realized in `model`'s noise slots (nb == 1:
-// the scalar single-chip state or an installed circuit backend), in one
+// a one-chip group or an installed circuit backend), in one
 // pass: every test chunk is tiled chip-major to {nb*rows, ...} and sent
 // through a single noise-batched forward, so each chip's logits are
-// bit-identical to a sequential single-chip forward. The chunk is
+// bit-identical to a one-chip forward. The chunk is
 // lane_rows / nb test rows, keeping the tiled forward the size of one
 // lane's share of batch_size — larger tiles thrash the cache on the
 // un-pooled CNN activations and erase the batching win. The chunking does
@@ -244,9 +209,9 @@ void evaluate_circuit_lane(Module& replica, const Dataset& test,
       for (std::size_t i = 0; i < qlayers.size(); ++i) {
         NoiseState& ns = qlayers[i]->noise_state();
         ns.correction = correction_for(st->mode);
-        ns.eps_hat = static_cast<float>(eps_hat);
+        ns.eps_hat[0] = static_cast<float>(eps_hat);
         ns.wmax = wmax[i];
-        ns.ltm_err = static_cast<float>(
+        ns.ltm_err[0] = static_cast<float>(
             ltm_readout_error(vcfg.sigma_w, st->ltm_columns, ltm_rng));
         ++ns.revision;
       }
@@ -255,9 +220,9 @@ void evaluate_circuit_lane(Module& replica, const Dataset& test,
   }
 }
 
-// Weight-domain (and int8) lane: chips [c0, c1) in groups of chip_batch,
-// one noise-batched forward per test chunk per group, or one chip at a
-// time through the scalar NoiseState when chip_batch is 1.
+// Weight-domain (and int8) lane: chips [c0, c1) in groups of chip_batch
+// (the last group may be smaller), one noise-batched forward per test
+// chunk per group.
 void evaluate_weight_domain_lane(Module& replica, const Dataset& test,
                                  const VariabilityConfig& vcfg,
                                  const EvalConfig& ecfg,
@@ -280,35 +245,12 @@ void evaluate_weight_domain_lane(Module& replica, const Dataset& test,
       q->set_analog_backend(int8_backends.back().get());
     }
   }
-  if (chip_batch <= 1) {
-    // Sequential reference path: one chip per pass over the test set.
-    for (index_t chip = c0; chip < c1; ++chip) {
-      Rng rng(ecfg.seed, static_cast<std::uint64_t>(chip));
-      // One correlated deviation per chip, shared by every layer; the GTM
-      // measures it once per chip with cell-averaged error.
-      const double eps_b =
-          vcfg.sigma_b > 0.0 ? rng.normal(0.0, vcfg.sigma_b) : 0.0;
-      const bool tune = st != nullptr && st->mode != SelfTuneMode::kNone;
-      const double eps_hat =
-          tune ? measure_eps_b(eps_b, vcfg.sigma_w, st->gtm_cells, rng) : 0.0;
-      for (QuantLayerBase* q : qlayers) {
-        sample_variability(*q, vcfg, rng);
-        NoiseState& ns = q->noise_state();
-        ns.eps_b = static_cast<float>(eps_b);
-        if (tune) {
-          ns.correction = correction_for(st->mode);
-          ns.eps_hat = static_cast<float>(eps_hat);
-          ns.ltm_err = static_cast<float>(
-              ltm_readout_error(vcfg.sigma_w, st->ltm_columns, rng));
-        }
-      }
-      accuracy_batched(replica, test, ecfg, lane_rows, 1, accs + (chip - c0));
-    }
-    return;
-  }
+  const bool tune = st != nullptr && st->mode != SelfTuneMode::kNone;
+  const CorrectionKind correction =
+      tune ? correction_for(st->mode) : CorrectionKind::kNone;
   for (index_t chip0 = c0; chip0 < c1; chip0 += chip_batch) {
     const index_t nb = std::min(chip_batch, c1 - chip0);
-    prepare_noise_group(qlayers, vcfg, st, nb);
+    prepare_noise_group(qlayers, nb, vcfg.model, vcfg.enabled(), correction);
     // Chips draw from independent streams — Rng(seed, chip) — and
     // sample_chip_into_slot is slot-pure after the prologue, so the
     // group's chips sample in parallel (a pool job nested under the
@@ -358,6 +300,15 @@ EvalBackend eval_backend_from_env() {
                  v);
   }
   return EvalBackend::kWeightDomain;
+}
+
+index_t chip_batch_from_env() {
+  const char* v = std::getenv("QAVAT_CHIP_BATCH");
+  if (v != nullptr && v[0] != '\0') {
+    const long long n = std::strtoll(v, nullptr, 10);
+    if (n >= 1) return static_cast<index_t>(n);
+  }
+  return kDefaultChipBatch;
 }
 
 EvalStats evaluate_under_variability(Module& model, const Dataset& test,

@@ -16,7 +16,7 @@
 //    forward per test batch (the effective weights carry a per-chip axis;
 //    see NoiseState). Determinism contract: chip c's realization is drawn
 //    from Rng(seed, c) — explicit in the chip index, never in evaluation
-//    order — so every chip_batch (including 1, the sequential path)
+//    order — so every chip_batch (including 1, one chip per forward)
 //    produces bit-identical per-chip accuracies. The circuit backend
 //    shares the same Rng(seed, c) chip identity, so both backends see
 //    the same per-chip eps_B realizations.
@@ -101,6 +101,13 @@ const char* to_string(EvalBackend backend);
 /// default_eval_config(), not by evaluate_under_variability.
 EvalBackend eval_backend_from_env();
 
+/// QAVAT_CHIP_BATCH as a chip-group size: its value when it parses as an
+/// integer >= 1, else the default 8. Re-read from the environment on
+/// EVERY call. Applied by default_eval_config() and by fleet lifetime
+/// studies (eval/fleet.h); result-invariant, so never part of a store
+/// key.
+index_t chip_batch_from_env();
+
 /// Monte-Carlo evaluation protocol. All counts are per evaluation call.
 struct EvalConfig {
   index_t n_chips = 25;                ///< simulated chips
@@ -109,7 +116,7 @@ struct EvalConfig {
                                        ///< by the concurrent chip lanes
   std::uint64_t seed = 1000;           ///< chip Monte-Carlo seed
   index_t chip_batch = 0;  ///< chips per noise-batched forward; 0 = default
-                           ///< (8), 1 = sequential single-chip evaluation.
+                           ///< (8), 1 = one chip per forward.
                            ///< Any value yields identical per-chip results.
                            ///< Groups never span two chip lanes. Ignored
                            ///< by the circuit backend (one chip at a time

@@ -21,34 +21,21 @@ bool fast_mode() {
 
 namespace {
 
-struct ModelSnapshot {
-  ModelKind kind;
-  ModelConfig cfg;
-  std::vector<std::vector<float>> params;
-  std::vector<float> weight_scales;
-  std::vector<float> act_scales;
-  std::vector<bool> quant_enabled;
-  double clean_test_acc = 0.0;
-};
-
-std::map<std::string, double>& result_cache() {
-  static std::map<std::string, double> cache;
-  return cache;
-}
-
 std::map<std::string, EvalStats>& eval_cache() {
   static std::map<std::string, EvalStats> cache;
   return cache;
 }
 
-// The model cache is the one piece of experiment state training lanes
-// share, so it sits behind a mutex. Entries are never erased while a
-// run is in flight (only clear_experiment_caches drops them), and
-// std::map nodes are stable, so a snapshot found under the lock can be
-// read after it is released.
+// The model cache holds each trained model in its persisted form: the
+// module_state_dict plus the "clean_test_acc" scalar, exactly the
+// StateDict the store holds under the same key. It is the one piece of
+// experiment state training lanes share, so it sits behind a mutex.
+// Entries are never erased while a run is in flight (only
+// clear_experiment_caches drops them), and std::map nodes are stable, so
+// an entry found under the lock can be read after it is released.
 struct ModelCache {
   std::mutex mu;
-  std::map<std::string, ModelSnapshot> entries;
+  std::map<std::string, StateDict> entries;
 };
 
 ModelCache& model_cache() {
@@ -56,17 +43,17 @@ ModelCache& model_cache() {
   return cache;
 }
 
-const ModelSnapshot* find_snapshot(const std::string& key) {
+const StateDict* find_model(const std::string& key) {
   ModelCache& c = model_cache();
   std::lock_guard<std::mutex> lk(c.mu);
   auto it = c.entries.find(key);
   return it == c.entries.end() ? nullptr : &it->second;
 }
 
-void cache_snapshot(const std::string& key, ModelSnapshot s) {
+void cache_model(const std::string& key, StateDict sd) {
   ModelCache& c = model_cache();
   std::lock_guard<std::mutex> lk(c.mu);
-  c.entries.emplace(key, std::move(s));
+  c.entries.emplace(key, std::move(sd));
 }
 
 std::atomic<index_t>& training_runs_counter() {
@@ -82,68 +69,11 @@ TrainResult counted_train(Module& model, const Dataset& data, TrainAlgo algo,
   return train(model, data, algo, cfg);
 }
 
-// Persist a trained model (plus its clean accuracy) under `key`;
-// fail-soft, the store warns once on unwritable paths.
-void persist_model(const std::string& key, Module& model, double clean_acc) {
-  StateDict sd = module_state_dict(model);
-  sd.add_scalar("clean_test_acc", clean_acc);
-  store_save_state("models", key, sd);
-}
-
-// Store probe for a trained model: returns the materialized Module (and
-// clean accuracy) on a valid artifact matching (kind, cfg), nullptr
-// otherwise — any mismatch or corruption reads as a miss and the caller
-// retrains (overwriting the bad artifact).
-struct LoadedModel {
-  std::unique_ptr<Module> model;
-  double clean_test_acc = 0.0;
-};
-
-LoadedModel load_model_from_store(const std::string& key, ModelKind kind,
-                                  const ModelConfig& cfg,
-                                  StoreLoadOutcome* outcome = nullptr) {
-  LoadedModel out;
-  StateDict sd;
-  if (!store_load_state("models", key, &sd, outcome)) return out;
-  const double* acc = sd.find_scalar("clean_test_acc");
-  if (acc == nullptr) return out;
-  auto model = make_model(kind, cfg);
-  if (!load_module_state(*model, sd)) return out;
-  out.model = std::move(model);
-  out.clean_test_acc = *acc;
-  return out;
-}
-
-ModelSnapshot snapshot(Module& model, double clean_acc) {
-  ModelSnapshot s;
-  s.kind = model.kind();
-  s.cfg = model.config();
-  for (Param* p : model.parameters()) {
-    s.params.emplace_back(p->value.data(), p->value.data() + p->value.size());
-  }
-  for (QuantLayerBase* q : model.quant_layers()) {
-    s.weight_scales.push_back(q->weight_scale());
-    s.act_scales.push_back(q->act_quantizer().scale());
-    s.quant_enabled.push_back(q->quant_enabled());
-  }
-  s.clean_test_acc = clean_acc;
-  return s;
-}
-
-std::unique_ptr<Module> restore(const ModelSnapshot& s) {
-  auto model = make_model(s.kind, s.cfg);
-  auto params = model->parameters();
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    float* dst = params[i]->value.data();
-    for (std::size_t j = 0; j < s.params[i].size(); ++j) dst[j] = s.params[i][j];
-  }
-  auto qs = model->quant_layers();
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    qs[i]->set_weight_scale(s.weight_scales[i]);
-    qs[i]->act_quantizer().set_scale(s.act_scales[i]);
-    qs[i]->set_quant_enabled(s.quant_enabled[i]);
-  }
-  model->set_training(false);
+// Materialize `unit`'s model from its persisted state; nullptr when the
+// state does not match (kind, config).
+std::unique_ptr<Module> restore(const TrainUnit& unit, const StateDict& sd) {
+  auto model = make_model(unit.kind, unit.mcfg);
+  if (!load_module_state(*model, sd)) return nullptr;
   return model;
 }
 
@@ -184,47 +114,21 @@ TrainUnit pretrain_unit(ModelKind kind, const ModelConfig& mcfg,
   return make_unit(kind, mcfg, ScenarioAlgo::kQAT, data, pre);
 }
 
-// Publish a freshly trained model under `key`. The model (with its
-// workspace and training-batch caches) is snapshotted and freed first;
-// the clean evaluation and the persisted artifact then come from a
-// fresh restore, which carries exactly the snapshotted state.
-void publish_trained(const std::string& key, std::unique_ptr<Module> model,
+// Publish a freshly trained model as `unit`'s artifact. The model (with
+// its workspace and training-batch caches) is captured and freed first;
+// the clean evaluation then runs on a fresh restore, which carries
+// exactly the captured state. Persisting is fail-soft: the store warns
+// once on unwritable paths.
+void publish_trained(const TrainUnit& unit, std::unique_ptr<Module> model,
                      const Dataset& test) {
-  ModelSnapshot snap = snapshot(*model, 0.0);
+  StateDict sd = module_state_dict(*model);
   model.reset();
-  const std::unique_ptr<Module> fresh = restore(snap);
-  snap.clean_test_acc = evaluate_clean(*fresh, test);
-  persist_model(key, *fresh, snap.clean_test_acc);
-  cache_snapshot(key, std::move(snap));
+  sd.add_scalar("clean_test_acc", evaluate_clean(*restore(unit, sd), test));
+  store_save_state("models", unit.key, sd);
+  cache_model(unit.key, std::move(sd));
 }
 
 }  // namespace
-
-double with_result_cache(const std::string& key,
-                         const std::function<double()>& fn) {
-  auto& cache = result_cache();
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  double loaded = 0.0;
-  ClaimWait cw = claim_or_load("results", key, [&](StoreLoadOutcome* o) {
-    std::vector<double> persisted;
-    if (!store_load_doubles("results", key, &persisted, o) ||
-        persisted.size() != 1) {
-      return false;
-    }
-    loaded = persisted[0];
-    return true;
-  });
-  if (cw.loaded) {
-    cache.emplace(key, loaded);
-    return loaded;
-  }
-  const double value = fn();
-  if (cw.saw_corrupt) store_note_retrain_after_corruption();
-  cache.emplace(key, value);
-  store_save_doubles("results", key, {value});
-  return value;  // cw's claim (if held) releases here, after the publish
-}
 
 EvalStats with_eval_cache(const std::string& key,
                           const std::function<EvalStats()>& fn,
@@ -256,7 +160,6 @@ EvalStats with_eval_cache(const std::string& key,
 }
 
 void clear_experiment_caches(bool drop_disk) {
-  result_cache().clear();
   eval_cache().clear();
   {
     ModelCache& c = model_cache();
@@ -286,16 +189,22 @@ std::vector<TrainUnit> training_units(ModelKind kind, const ModelConfig& mcfg,
 
 UnitOutcome produce_unit(const TrainUnit& unit, const SplitDataset& data) {
   UnitOutcome out;
-  if (find_snapshot(unit.key) != nullptr) return out;
+  if (find_model(unit.key) != nullptr) return out;
   // Read-through with the work-claim protocol: probe the disk store for
   // the finished model, and on a miss either claim the right to train it
   // or wait for the process that already did (DESIGN §14). A fine-tune
   // claims its own key before its pretrain's, so a waiter on the
   // fine-tune never needs the pretrain.
   ClaimWait cw = claim_or_load("models", unit.key, [&](StoreLoadOutcome* o) {
-    LoadedModel l = load_model_from_store(unit.key, unit.kind, unit.mcfg, o);
-    if (l.model == nullptr) return false;
-    cache_snapshot(unit.key, snapshot(*l.model, l.clean_test_acc));
+    // A state without the clean accuracy or for another (kind, config)
+    // reads as a miss: the caller retrains, overwriting the bad artifact.
+    StateDict sd;
+    if (!store_load_state("models", unit.key, &sd, o) ||
+        sd.find_scalar("clean_test_acc") == nullptr ||
+        restore(unit, sd) == nullptr) {
+      return false;
+    }
+    cache_model(unit.key, std::move(sd));
     return true;
   });
   if (cw.loaded) {
@@ -312,7 +221,7 @@ UnitOutcome produce_unit(const TrainUnit& unit, const SplitDataset& data) {
     // exactly one process fleet-wide.
     const TrainUnit pre = pretrain_unit(unit.kind, unit.mcfg, data, unit.tcfg);
     produce_unit(pre, data);
-    model = restore(*find_snapshot(pre.key));
+    model = restore(pre, *find_model(pre.key));
     TrainConfig fine = unit.tcfg;
     fine.lr = unit.tcfg.lr * 0.5;
     counted_train(*model, data.train, TrainAlgo::kQAVAT, fine);
@@ -333,21 +242,21 @@ UnitOutcome produce_unit(const TrainUnit& unit, const SplitDataset& data) {
   }
   out.trained = true;
   if (cw.saw_corrupt) store_note_retrain_after_corruption();
-  publish_trained(unit.key, std::move(model), data.test);
+  publish_trained(unit, std::move(model), data.test);
   return out;  // cw's claim (if held) releases here, after the publish
 }
 
 bool unit_available(const TrainUnit& unit) {
-  return find_snapshot(unit.key) != nullptr || store_has("models", unit.key);
+  return find_model(unit.key) != nullptr || store_has("models", unit.key);
 }
 
 TrainedModel trained_model(const std::vector<TrainUnit>& plan,
                            const SplitDataset& data) {
   const UnitOutcome o = produce_unit(plan.back(), data);
-  const ModelSnapshot& snap = *find_snapshot(plan.back().key);
+  const StateDict& sd = *find_model(plan.back().key);
   TrainedModel out;
-  out.model = restore(snap);
-  out.clean_test_acc = snap.clean_test_acc;
+  out.model = restore(plan.back(), sd);
+  out.clean_test_acc = *sd.find_scalar("clean_test_acc");
   out.trained = o.trained;
   out.from_store = o.from_store;
   return out;
@@ -394,17 +303,9 @@ EvalConfig default_eval_config(ModelKind kind) {
   cfg.n_chips = fast_mode() ? 8 : 25;
   cfg.max_test_samples = fast_mode() ? 200 : (1 << 30);
   // Noise-batched Monte-Carlo: simulate 8 chips per forward by default
-  // (identical per-chip results to sequential evaluation; see
-  // eval/evaluator.h). QAVAT_CHIP_BATCH overrides, 1 = sequential.
-  static const index_t chip_batch = [] {
-    const char* v = std::getenv("QAVAT_CHIP_BATCH");
-    if (v != nullptr && v[0] != '\0') {
-      const long n = std::strtol(v, nullptr, 10);
-      if (n > 0) return static_cast<index_t>(n);
-    }
-    return index_t{8};
-  }();
-  cfg.chip_batch = chip_batch;
+  // (identical per-chip results for any group size; see
+  // eval/evaluator.h). QAVAT_CHIP_BATCH overrides.
+  cfg.chip_batch = chip_batch_from_env();
   // QAVAT_EVAL_BACKEND=circuit routes every bench evaluation through the
   // tiled crossbar simulator (sequential; see eval/evaluator.h). The
   // tile size stays 0 here so the evaluator resolves QAVAT_TILE_SIZE.

@@ -1,8 +1,8 @@
 // Experiment harness shared by all bench binaries: workload defaults per
 // model kind, a process-wide model cache (training is the expensive step
-// and many tables reuse the same trained model), a result cache for
-// Monte-Carlo evaluations, and the QAVAT_FAST=1 switch that shrinks every
-// budget for smoke testing.
+// and many tables reuse the same trained model), a cache for Monte-Carlo
+// evaluations, and the QAVAT_FAST=1 switch that shrinks every budget for
+// smoke testing.
 //
 // Both caches are read-through layers over the on-disk artifact store
 // (eval/store.h): a miss probes the store before computing, and every
@@ -37,11 +37,6 @@ namespace qavat {
 /// True when QAVAT_FAST=1 (or any non-empty value but "0") is set in the
 /// environment: smaller datasets, fewer epochs, fewer Monte-Carlo chips.
 bool fast_mode();
-
-/// Memoize a scalar result under a descriptive space-free key
-/// (memory, then disk store, then fn()).
-double with_result_cache(const std::string& key,
-                         const std::function<double()>& fn);
 
 /// Memoize a full Monte-Carlo evaluation under `key`: the per-chip
 /// accuracy vector persists (memory, then disk store) and the summary

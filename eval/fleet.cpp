@@ -52,24 +52,6 @@ constexpr index_t kChipScalars = 7;
 
 // --------------------------------------------------------- eval helpers
 
-// Serial per-group prologue, the fleet variant of the evaluator's
-// prepare_noise_group: size the batched state and apply the
-// NoiseState-wide writes once per group. Unlike the Monte-Carlo path the
-// state is ALWAYS active — a pure-drift deployment (sigma_w == 0) still
-// carries the drifting eps_B through the (zeroed) eps planes.
-void prepare_fleet_group(std::vector<QuantLayerBase*>& qlayers,
-                         const VariabilityConfig& within, index_t nb,
-                         CorrectionKind correction) {
-  for (QuantLayerBase* q : qlayers) {
-    ensure_noise_batch(*q, nb);
-    NoiseState& ns = q->noise_state();
-    ns.model = within.model;
-    ns.wmax = q->dequant_weight_max();
-    ns.active = true;
-    ns.correction = correction;
-  }
-}
-
 // Linear-interpolated quantile of an ascending-sorted vector.
 double quantile_sorted(const std::vector<double>& xs, double q) {
   if (xs.empty()) return 0.0;
@@ -218,17 +200,6 @@ bool FleetSnapshot::from_state_dict(const StateDict& sd,
 
 // --------------------------------------------------------- FleetEvaluator
 
-index_t fleet_chip_batch_from_env() {
-  for (const char* name : {"QAVAT_FLEET_CHIP_BATCH", "QAVAT_CHIP_BATCH"}) {
-    const char* v = std::getenv(name);
-    if (v != nullptr && v[0] != '\0') {
-      const long long n = std::strtoll(v, nullptr, 10);
-      if (n >= 1) return static_cast<index_t>(n);
-    }
-  }
-  return 8;
-}
-
 std::vector<ClaimUnitRef> FleetEvaluator::claim_units(
     const FleetStudySpec& spec) {
   std::vector<ClaimUnitRef> units;
@@ -339,7 +310,7 @@ FleetRunResult FleetEvaluator::run(const FleetStudySpec& spec) {
       VariabilityConfig::within_only(lt.drift.model, lt.drift.sigma_w);
   const CorrectionKind correction = correction_for(proper_mode(lt.drift.model));
   const index_t chip_batch =
-      std::max<index_t>(1, std::min(fleet_chip_batch_from_env(), lt.n_chips));
+      std::max<index_t>(1, std::min(chip_batch_from_env(), lt.n_chips));
   const index_t n_test = test.size();
   const index_t rows_per_step = std::min(lt.batch_size, n_test);
   // Same memory discipline as accuracy_batched: the chip-major tiled
@@ -383,7 +354,11 @@ FleetRunResult FleetEvaluator::run(const FleetStudySpec& spec) {
         Tensor block;
         for (index_t chip0 = c0; chip0 < c1; chip0 += chip_batch) {
           const index_t nb = std::min(chip_batch, c1 - chip0);
-          prepare_fleet_group(qlayers, within, nb, correction);
+          // Unlike the Monte-Carlo evaluator the state is ALWAYS active:
+          // a pure-drift deployment (sigma_w == 0) still carries the
+          // drifting eps_B through the (zeroed) eps planes. The prologue
+          // also zeroes ltm_err, which the fleet never models.
+          prepare_noise_group(qlayers, nb, within.model, true, correction);
           // Static within-chip field: re-drawn identically for this
           // group every window from the chip-indexed stream
           // Rng(seed, chip).
@@ -414,21 +389,12 @@ FleetRunResult FleetEvaluator::run(const FleetStudySpec& spec) {
               for (index_t b = 0; b < nb; ++b) {
                 const ChipLifetimeState& st =
                     chips[static_cast<std::size_t>(chip0 + b)];
-                ns.eps_b_v[static_cast<std::size_t>(b)] =
+                ns.eps_b[static_cast<std::size_t>(b)] =
                     static_cast<float>(lm.eps_b(st, t));
-                ns.eps_hat_v[static_cast<std::size_t>(b)] =
+                ns.eps_hat[static_cast<std::size_t>(b)] =
                     static_cast<float>(st.eps_hat);
-                ns.ltm_err_v[static_cast<std::size_t>(b)] = 0.0f;
               }
-              if (ns.batch == 1) {
-                // One-chip groups run the scalar forward path — mirror
-                // slot 0 into the scalar fields, as the Monte-Carlo
-                // sampler does.
-                ns.eps_b = ns.eps_b_v[0];
-                ns.eps_hat = ns.eps_hat_v[0];
-                ns.ltm_err = ns.ltm_err_v[0];
-              }
-              // eps_b_v is baked into the stacked effective weights,
+              // eps_b is baked into the stacked effective weights,
               // which cache on the revision — a new drift step needs a
               // new build.
               ++ns.revision;

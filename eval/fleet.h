@@ -16,8 +16,8 @@
 // A chip's trajectory is a pure function of (seed, chip, t) and every
 // cross-chip reduction runs in chip order after the lanes join, so
 // results are bit-identical for any QAVAT_THREADS and any chip grouping
-// (QAVAT_FLEET_CHIP_BATCH is result-invariant and therefore not part of
-// any key).
+// (QAVAT_CHIP_BATCH, chip_batch_from_env in eval/evaluator.h, is
+// result-invariant and therefore not part of any key).
 //
 // Persistence: after every checkpoint window the evaluator publishes a
 // FleetSnapshot (per-chip drift state + per-chip accuracy history + the
@@ -144,11 +144,6 @@ class FleetEvaluator {
  private:
   Session& session_;
 };
-
-/// Chips per noise-batched forward within a chip lane:
-/// QAVAT_FLEET_CHIP_BATCH when set (>= 1), else QAVAT_CHIP_BATCH's
-/// default policy (8). Result-invariant.
-index_t fleet_chip_batch_from_env();
 
 /// Names of the builtin lifetime studies `qavat-fleet emit` offers.
 std::vector<std::string> builtin_fleet_names();

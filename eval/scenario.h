@@ -4,8 +4,8 @@
 // variability, self-tuning configuration, and the Monte-Carlo evaluation
 // protocol (chips, samples, seed, backend) — everything that determines
 // the numbers a bench prints. Its canonical key() is the cache/store
-// identity replacing the hand-built strings benches used to pass to
-// with_result_cache, and to_json()/from_json() give a lossless
+// identity replacing the hand-built strings benches used to key their
+// cached results with, and to_json()/from_json() give a lossless
 // round-trip so specs can be saved, diffed and replayed.
 //
 // Knobs that provably do not change results (chip_batch, eval batch

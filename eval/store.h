@@ -74,7 +74,7 @@ enum class StoreLoadOutcome {
   kCorrupt,  ///< artifact present but failed validation; quarantined
 };
 
-/// Load a persisted double vector (results bucket). Returns false on
+/// Load a persisted double vector (e.g. the evals bucket). Returns false on
 /// disabled store, missing key or malformed file; a malformed file is
 /// moved to quarantine and reported via *outcome (optional).
 bool store_load_doubles(const char* bucket, const std::string& key,

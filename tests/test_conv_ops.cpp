@@ -252,7 +252,7 @@ void check_conv_layer_thread_identity(Rng& rng) {
 }
 
 // Batched Monte-Carlo evaluation: per-chip accuracies must be identical
-// for any thread count (and match the sequential chip loop, which
+// for any thread count (and match one chip per forward, which
 // test_eval_batched already pins down).
 void check_batched_eval_thread_identity() {
   const index_t saved = num_threads();

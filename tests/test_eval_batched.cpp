@@ -1,11 +1,13 @@
 // Tier-1: batched Monte-Carlo evaluation must produce per-chip accuracies
-// IDENTICAL to sequential evaluation (same seeds), for every chip_batch,
+// IDENTICAL to one-chip-per-forward evaluation (chip_batch 1, same
+// seeds), for every chip_batch,
 // both variance models, with and without self-tuning, and for any thread
 // count. Chip lanes (one model clone per thread over a chip range) must
 // keep that identity for every backend, must evaluate hand-built modules
 // as themselves, must surface a lane's exception and must leave the
 // caller's model untouched. Also covers the eval-only contract of the
-// noise-batch axis.
+// noise-batch axis, the NoiseState shape invariant and training's draw
+// order.
 #include <memory>
 #include <stdexcept>
 
@@ -97,9 +99,9 @@ int main() {
       CHECK(static_cast<index_t>(ref.per_chip_acc.size()) == base.n_chips);
 
       // chip_batch 3 (even split), 4 (ragged last group), 5 (ragged
-      // single-chip last group, which runs the scalar forward path), 0
-      // (default 8, clamped to n_chips): all must reproduce the
-      // sequential result.
+      // single-chip last group, a batch-1 forward), 0 (default 8,
+      // clamped to n_chips): all must reproduce the one-chip-per-forward
+      // result.
       for (index_t cb : {index_t{3}, index_t{4}, index_t{5}, index_t{0}}) {
         EvalConfig batched = base;
         batched.chip_batch = cb;
@@ -292,6 +294,56 @@ int main() {
       threw = true;
     }
     CHECK(threw);
+  }
+
+  // One NoiseState shape: every chip-level vector holds `batch` entries
+  // after construction, clear(), sample_variability (batch 1) and
+  // ensure_noise_batch, and eps carries `batch` weight planes.
+  {
+    Rng rng(5);
+    QuantLinear layer(6, 3, 4, 2, rng);
+    layer.refresh_weight_scale();
+    NoiseState& ns = layer.noise_state();
+    const auto sized = [&ns] {
+      const auto b = static_cast<std::size_t>(ns.batch);
+      return ns.eps_b.size() == b && ns.eps_hat.size() == b &&
+             ns.ltm_err.size() == b;
+    };
+    CHECK(ns.batch == 1 && sized());
+    ensure_noise_batch(layer, 4);
+    CHECK(ns.batch == 4 && sized() && ns.eps.size() == 4 * 18);
+    ns.clear();
+    CHECK(ns.batch == 1 && sized() && !ns.active);
+    const VariabilityConfig vcfg =
+        VariabilityConfig::mixed(VarianceModel::kLayerFixed, 0.3);
+    ensure_noise_batch(layer, 4);
+    sample_variability(layer, vcfg, rng);
+    CHECK(ns.batch == 1 && sized() && ns.active && ns.eps.size() == 18);
+    ensure_noise_batch(layer, 4);
+    CHECK(ns.batch == 4 && sized() && ns.eps.size() == 4 * 18);
+  }
+
+  // Training's draw order: sample_variability fills eps with the first
+  // fan_out * fan_in N(0, sigma_w) draws of its Rng, then eps_b[0] with
+  // the next N(0, sigma_b) draw.
+  {
+    Rng init(6);
+    QuantLinear layer(6, 3, 4, 2, init);
+    layer.refresh_weight_scale();
+    VariabilityConfig vcfg;
+    vcfg.sigma_w = 0.2;
+    vcfg.sigma_b = 0.1;
+    Rng rng(99), ref(99);
+    sample_variability(layer, vcfg, rng);
+    const NoiseState& ns = layer.noise_state();
+    CHECK(ns.eps.size() == 18);
+    index_t mismatches = 0;
+    for (index_t i = 0; i < 18; ++i) {
+      const float want = static_cast<float>(ref.normal(0.0, vcfg.sigma_w));
+      if (ns.eps.data()[i] != want) ++mismatches;
+    }
+    CHECK(mismatches == 0);
+    CHECK(ns.eps_b[0] == static_cast<float>(ref.normal(0.0, vcfg.sigma_b)));
   }
 
   return qavat::test::finish("test_eval_batched");

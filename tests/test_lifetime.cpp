@@ -812,7 +812,7 @@ void test_fleet_run_and_store(Session& session) {
 
   // Chip lanes and grouping are result-invariant: any thread count
   // (min(threads, n_chips) lanes over contiguous chip ranges) and any
-  // QAVAT_FLEET_CHIP_BATCH give the same bits (still store-disabled, so
+  // QAVAT_CHIP_BATCH give the same bits (still store-disabled, so
   // every run recomputes). 5 chips split raggedly over 2 and 4 lanes, 3
   // chips are fewer than 4 lanes, 7 chips split raggedly everywhere; the
   // 3- and 7-chip references are taken at 1 thread.
@@ -832,7 +832,7 @@ void test_fleet_run_and_store(Session& session) {
   for (index_t threads : {index_t{1}, index_t{2}, index_t{4}}) {
     set_num_threads(threads);
     for (const char* cb : {"1", "2", "5", "64"}) {
-      ::setenv("QAVAT_FLEET_CHIP_BATCH", cb, 1);
+      ::setenv("QAVAT_CHIP_BATCH", cb, 1);
       for (const LaneCase& lc : lane_cases) {
         const FleetRunResult r = fleet.run(lc.spec);
         CHECK(trajectories_equal(r.trajectory, lc.ref));
@@ -840,7 +840,7 @@ void test_fleet_run_and_store(Session& session) {
     }
   }
   set_num_threads(saved_threads);
-  ::unsetenv("QAVAT_FLEET_CHIP_BATCH");
+  ::unsetenv("QAVAT_CHIP_BATCH");
   ::unsetenv("QAVAT_STORE");
 
   // Lanes step clones: the session's model comes back without a noise
@@ -872,17 +872,21 @@ void test_fleet_run_and_store(Session& session) {
   CHECK(threw);
 }
 
+// The one chip-group reader serves the Monte-Carlo defaults and the
+// fleet alike, re-reading the environment on every call.
 void test_chip_batch_env() {
-  ::setenv("QAVAT_FLEET_CHIP_BATCH", "3", 1);
-  CHECK(fleet_chip_batch_from_env() == 3);
-  ::unsetenv("QAVAT_FLEET_CHIP_BATCH");
   ::setenv("QAVAT_CHIP_BATCH", "5", 1);
-  CHECK(fleet_chip_batch_from_env() == 5);
-  ::setenv("QAVAT_FLEET_CHIP_BATCH", "2", 1);  // fleet override wins
-  CHECK(fleet_chip_batch_from_env() == 2);
-  ::unsetenv("QAVAT_FLEET_CHIP_BATCH");
+  CHECK(chip_batch_from_env() == 5);
+  CHECK(default_eval_config(ModelKind::kLeNet5s).chip_batch == 5);
+  ::setenv("QAVAT_CHIP_BATCH", "3", 1);
+  CHECK(chip_batch_from_env() == 3);
+  CHECK(default_eval_config(ModelKind::kLeNet5s).chip_batch == 3);
+  for (const char* bad : {"0", "abc"}) {
+    ::setenv("QAVAT_CHIP_BATCH", bad, 1);
+    CHECK(chip_batch_from_env() == 8);
+  }
   ::unsetenv("QAVAT_CHIP_BATCH");
-  CHECK(fleet_chip_batch_from_env() == 8);
+  CHECK(chip_batch_from_env() == 8);
 }
 
 }  // namespace

@@ -192,42 +192,28 @@ void test_scenario_json_and_key() {
 
 void test_store_read_through() {
   int calls = 0;
-  const double v1 = with_result_cache("test_store_rt", [&] {
-    ++calls;
-    return 42.5;
-  });
-  CHECK(v1 == 42.5 && calls == 1);
-  // Memory hit.
-  const double v2 = with_result_cache("test_store_rt", [&] {
-    ++calls;
-    return -1.0;
-  });
-  CHECK(v2 == 42.5 && calls == 1);
-  // Disk hit after dropping the memory cache.
-  clear_experiment_caches();
-  const double v3 = with_result_cache("test_store_rt", [&] {
-    ++calls;
-    return -1.0;
-  });
-  CHECK(v3 == 42.5 && calls == 1);
-
-  // Same contract for the full-eval cache, via the per-chip vector.
   EvalStats stats;
   stats.per_chip_acc = {0.5, 0.25, 1.0};
   stats.n_chips = 3;
   stats.accuracy = Stats::from(stats.per_chip_acc);
+  const auto compute = [&] {
+    ++calls;
+    return stats;
+  };
+  const auto stale = [&] {
+    ++calls;
+    return EvalStats{};
+  };
   bool computed = false;
-  EvalStats got = with_eval_cache(
-      "test_store_eval", [&] { return stats; }, &computed);
-  CHECK(computed);
+  EvalStats got = with_eval_cache("test_store_eval", compute, &computed);
+  CHECK(computed && calls == 1);
+  // Memory hit.
+  got = with_eval_cache("test_store_eval", stale, &computed);
+  CHECK(!computed && calls == 1);
+  CHECK(got.per_chip_acc == stats.per_chip_acc);
+  // Disk hit after dropping the memory cache, via the per-chip vector.
   clear_experiment_caches();
-  got = with_eval_cache(
-      "test_store_eval",
-      [&] {
-        ++calls;
-        return EvalStats{};
-      },
-      &computed);
+  got = with_eval_cache("test_store_eval", stale, &computed);
   CHECK(!computed && calls == 1);
   CHECK(got.n_chips == 3);
   CHECK(got.per_chip_acc == stats.per_chip_acc);
@@ -338,15 +324,15 @@ int main() {
   CHECK(!store_enabled());
   clear_experiment_caches();
   int calls = 0;
-  with_result_cache("test_store_disabled", [&] {
+  const auto compute = [&] {
     ++calls;
-    return 1.0;
-  });
+    EvalStats s;
+    s.per_chip_acc = {1.0};
+    return s;
+  };
+  with_eval_cache("test_store_disabled", compute);
   clear_experiment_caches();
-  with_result_cache("test_store_disabled", [&] {
-    ++calls;
-    return 1.0;
-  });
+  with_eval_cache("test_store_disabled", compute);
   CHECK(calls == 2);  // no disk backing while disabled
   ::unsetenv("QAVAT_STORE");
 

@@ -447,9 +447,17 @@ void test_unwritable_store_computes_locally() {
   const fs::path bogus_root = g_store_dir / "not_a_dir";
   plant_file(bogus_root, "plain file, not a store root");
   ::setenv("QAVAT_STORE_DIR", bogus_root.c_str(), 1);
-  const double got =
-      with_result_cache("faults_unwritable_store", [] { return 42.5; });
-  CHECK(got == 42.5);
+  bool computed = false;
+  const EvalStats got = with_eval_cache(
+      "faults_unwritable_store",
+      [] {
+        EvalStats s;
+        s.per_chip_acc = {42.5};
+        return s;
+      },
+      &computed);
+  CHECK(computed);
+  CHECK(got.per_chip_acc == std::vector<double>{42.5});
   ::setenv("QAVAT_STORE_DIR", g_store_dir.c_str(), 1);
   fs::remove(bogus_root);
 }

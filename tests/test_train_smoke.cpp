@@ -43,12 +43,16 @@ int main() {
   // noise.
   CHECK(qavat_noisy.accuracy.mean > qat_noisy.accuracy.mean + 0.01);
 
-  // Determinism: the result cache and a fresh evaluation agree.
-  const double cached = with_result_cache("smoke_qavat", [&] {
-    return evaluate_under_variability(*qavat.model, data.test, env, ecfg)
-        .accuracy.mean;
+  // Determinism: a fresh evaluation through the eval cache reproduces
+  // the first one exactly, and the second lookup is a cache hit.
+  const EvalStats cached = with_eval_cache("smoke_qavat", [&] {
+    return evaluate_under_variability(*qavat.model, data.test, env, ecfg);
   });
-  const double again = with_result_cache("smoke_qavat", [] { return -1.0; });
-  CHECK_NEAR(cached, again, 0.0);
+  CHECK(cached.per_chip_acc == qavat_noisy.per_chip_acc);
+  bool computed = true;
+  const EvalStats again =
+      with_eval_cache("smoke_qavat", [] { return EvalStats{}; }, &computed);
+  CHECK(!computed);
+  CHECK(again.per_chip_acc == cached.per_chip_acc);
   return qavat::test::finish("test_train_smoke");
 }
