@@ -1,24 +1,23 @@
 // Multi-process sweep orchestration check: fork K worker processes over
 // ONE manifest sharing ONE cold artifact store, and assert the
-// work-claim protocol (eval/store.h, DESIGN.md §14) plus the
-// claim-aware scheduler (Session::run_manifest, DESIGN.md §15)
-// coordinated them —
+// work-claim protocol (eval/store.h, DESIGN.md §14) plus run_all's
+// busy skip (Session::run_all, DESIGN.md §15) coordinated them —
 //
 //   1. exactly one training per claim unit: the sum of the workers'
 //      train() phase counts equals what a single process needs for the
 //      grid (no duplicated work, no lost work);
 //   2. byte-identical results: every worker's result vector — which
-//      run_manifest returns in manifest order whatever dynamic order
-//      the scheduler executed — is bitwise equal to a single-process
+//      run_all returns in manifest order whatever order its lanes
+//      produced the units in — is bitwise equal to a single-process
 //      run_all reference on a second fresh store.
 //
-// Workers all start at manifest position 0; the scheduler itself
-// provides the contention schedule (a worker finding a unit's claim
-// busy defers that spec and moves to the next unclaimed one), which is
-// exactly the mechanism under test. Workers are forked before any
-// compute so no thread pool threads exist yet.
+// Workers all start at manifest position 0; the lanes themselves
+// provide the contention schedule (a lane finding a unit's claim busy
+// moves on to the next ready unit), which is exactly the mechanism
+// under test. Workers are forked before any compute so no thread pool
+// threads exist yet.
 //
-//   bench_sweep [--workers K]     (or QAVAT_SWEEP_WORKERS; default 2)
+//   bench_sweep [--workers K]     (K a positive integer; default 2)
 //
 // Exits 0 with "bench_sweep: PASS" on stdout, nonzero with a diagnostic
 // otherwise. QAVAT_FAST=1 is respected like every bench.
@@ -56,12 +55,17 @@ SweepManifest sweep_manifest() {
 // that must be bitwise identical across workers and reference.
 struct SweepReport {
   long long train_runs = 0;
-  long long deferrals = 0;     // scheduler skip count (workers only)
   std::vector<double> values;  // [clean_acc, mean_acc, mc.accuracy.stddev] * n
 };
 
-SweepReport report_from(const std::vector<ScenarioResult>& results,
-                        long long runs_before) {
+// One run_all pass over the grid against QAVAT_STORE_DIR: the body of
+// every worker (shared store) and of the reference (private store).
+SweepReport run_sweep(const char* name) {
+  const SweepManifest m = sweep_manifest();
+  const long long runs_before = static_cast<long long>(training_runs());
+  Session session;
+  const std::vector<ScenarioResult> results = session.run_all(m.specs);
+  session.print_summary(name);
   SweepReport rep;
   rep.train_runs = static_cast<long long>(training_runs()) - runs_before;
   rep.values.resize(3 * results.size(), 0.0);
@@ -71,30 +75,6 @@ SweepReport report_from(const std::vector<ScenarioResult>& results,
     rep.values[3 * i + 2] = results[i].mc.accuracy.stddev;
   }
   return rep;
-}
-
-// Worker body: one claim-aware run_manifest pass over the shared store.
-SweepReport run_worker() {
-  const SweepManifest m = sweep_manifest();
-  const long long runs_before = static_cast<long long>(training_runs());
-  Session session;
-  SweepSchedule schedule;
-  const std::vector<ScenarioResult> results =
-      session.run_manifest(m, &schedule);
-  session.print_summary("bench_sweep.worker");
-  SweepReport rep = report_from(results, runs_before);
-  rep.deferrals = static_cast<long long>(schedule.deferrals);
-  return rep;
-}
-
-// Reference body: plain sequential-semantics run_all on a private store.
-SweepReport run_reference() {
-  const SweepManifest m = sweep_manifest();
-  const long long runs_before = static_cast<long long>(training_runs());
-  Session session;
-  const std::vector<ScenarioResult> results = session.run_all(m.specs);
-  session.print_summary("bench_sweep.ref");
-  return report_from(results, runs_before);
 }
 
 bool write_all(int fd, const void* buf, size_t n) {
@@ -123,18 +103,13 @@ bool read_all(int fd, void* buf, size_t n) {
 
 int main(int argc, char** argv) {
   int workers = 2;
-  if (const char* env = std::getenv("QAVAT_SWEEP_WORKERS")) {
-    if (*env) workers = std::atoi(env);
-  }
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = std::atoi(argv[++i]);
-    } else {
-      std::fprintf(stderr, "usage: %s [--workers K]\n", argv[0]);
+    if (std::strcmp(argv[i], "--workers") != 0 || i + 1 >= argc ||
+        !parse_positive_count(argv[++i], &workers)) {
+      std::fprintf(stderr, "usage: %s [--workers K]  (K >= 1)\n", argv[0]);
       return 2;
     }
   }
-  if (workers < 1) workers = 1;
 
   // Fresh private stores: one shared by all workers (cold, contended),
   // one for the single-process reference. Unique per invocation so a
@@ -169,11 +144,9 @@ int main(int argc, char** argv) {
     if (pid == 0) {
       ::close(fds[0]);
       ::setenv("QAVAT_STORE_DIR", shared_store.c_str(), 1);
-      const SweepReport rep = run_worker();
+      const SweepReport rep = run_sweep("bench_sweep.worker");
       const bool ok = write_all(fds[1], &rep.train_runs,
                                 sizeof rep.train_runs) &&
-                      write_all(fds[1], &rep.deferrals,
-                                sizeof rep.deferrals) &&
                       write_all(fds[1], rep.values.data(),
                                 rep.values.size() * sizeof(double));
       ::close(fds[1]);
@@ -187,14 +160,11 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   long long worker_runs_sum = 0;
-  long long deferrals_sum = 0;
   std::vector<std::vector<double>> worker_values(workers);
   for (int w = 0; w < workers; ++w) {
     long long runs = 0;
-    long long defers = 0;
     worker_values[w].resize(n_values, 0.0);
     if (!read_all(pipes[w], &runs, sizeof runs) ||
-        !read_all(pipes[w], &defers, sizeof defers) ||
         !read_all(pipes[w], worker_values[w].data(),
                   n_values * sizeof(double))) {
       std::fprintf(stderr, "bench_sweep: worker %d report truncated\n", w);
@@ -202,7 +172,6 @@ int main(int argc, char** argv) {
     }
     ::close(pipes[w]);
     worker_runs_sum += runs;
-    deferrals_sum += defers;
   }
   for (int w = 0; w < workers; ++w) {
     int status = 0;
@@ -212,16 +181,11 @@ int main(int argc, char** argv) {
       failed = true;
     }
   }
-  // The deferral sum is reported, not asserted: whether workers ever
-  // collide on a live claim is a timing property of the host.
-  std::fprintf(stderr, "bench_sweep: scheduler deferrals=%lld across %d "
-               "workers\n", deferrals_sum, workers);
-
-  // Single-process run_all reference on its own fresh store (the parent
-  // has run no compute yet, so this is a true cold run of the grid) —
-  // run_manifest's ordering contract is checked against it bitwise.
+  // Single-process reference on its own fresh store (the parent has run
+  // no compute yet, so this is a true cold run of the grid) — the
+  // workers' results are checked against it bitwise.
   ::setenv("QAVAT_STORE_DIR", ref_store.c_str(), 1);
-  const SweepReport ref = run_reference();
+  const SweepReport ref = run_sweep("bench_sweep.ref");
 
   if (worker_runs_sum != ref.train_runs) {
     std::fprintf(stderr,

@@ -75,9 +75,10 @@ fi
 # (Debug, -fno-sanitize-recover so any report fails the run).
 # test_fuzz_decoders feeds them mutated and deeply nested documents.
 # test_eval_batched, test_store, test_store_faults and test_train_smoke
-# cover the NoiseState slot writes, the model cache and the eval cache.
-# The store tests and test_lifetime run on their own private stores and
-# need persistence, so they keep the store on. The flags go through
+# cover the NoiseState slot writes, the model cache and the eval cache;
+# test_runner covers run_all's lanes and their busy skip. The store
+# tests, test_runner and test_lifetime run on their own private stores
+# and need persistence, so they keep the store on. The flags go through
 # CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS, so the pass needs no CMake
 # option. Probed at runtime like the TSan pass.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${REPO_ROOT}/build-asan}"
@@ -90,13 +91,14 @@ if "${CXX:-c++}" ${ASAN_FLAGS} "${TSAN_PROBE}/probe.cc" \
         -DCMAKE_CXX_FLAGS="${ASAN_FLAGS}" \
         -DCMAKE_EXE_LINKER_FLAGS="${ASAN_FLAGS}"
   ASAN_TESTS=(test_scenario_json test_lifetime test_fuzz_decoders
-              test_eval_batched test_store test_store_faults test_train_smoke)
+              test_eval_batched test_store test_store_faults test_train_smoke
+              test_runner)
   cmake --build "${ASAN_BUILD_DIR}" -j "${JOBS}" --target "${ASAN_TESTS[@]}"
   for t in "${ASAN_TESTS[@]}"; do
     echo "-- asan+ubsan ${t} --"
     store=0
     case "${t}" in
-      test_lifetime | test_store | test_store_faults) store=1 ;;
+      test_lifetime | test_store | test_store_faults | test_runner) store=1 ;;
     esac
     QAVAT_FAST=1 QAVAT_STORE="${store}" "${ASAN_BUILD_DIR}/${t}"
   done
@@ -250,28 +252,29 @@ fi
 echo "concurrent sweep: OK (train_runs ${W1_RUNS}+${W2_RUNS} = ${REF_RUNS}," \
      "byte-identical tables, store verifies clean)"
 
-# Manifest sweep gate: the claim-aware scheduler end-to-end through the
+# Manifest sweep gate: run_all's busy skip end-to-end through the
 # qavat-sweep CLI (DESIGN.md §15). Emit the Table-I grid as a manifest,
-# run it once sequentially (plain run_all) on a fresh store as the
-# reference, then race two forked claim-aware workers against a second
-# cold store. The workers' manifest-order stdout must be byte-identical
-# to the sequential reference, their summed train_runs must equal the
-# sequential run's (exactly once per unit, fleet-wide), a dry-run after
+# run it once in a single process on a fresh store as the reference,
+# then race two forked workers against a second cold store. The
+# workers' manifest-order stdout must be byte-identical to the
+# single-process reference, their summed train_runs must equal the
+# reference run's (exactly once per unit, fleet-wide), a dry-run after
 # must show every claim unit done, and the contended store must verify
 # clean.
-echo "== manifest sweep (qavat-sweep, table1, 2 workers vs sequential) =="
+echo "== manifest sweep (qavat-sweep, table1, 2 workers vs 1 process) =="
 MANIFEST_TMP="${STORE_TMP}/manifest"
 mkdir -p "${MANIFEST_TMP}"
 QAVAT_FAST=1 "${BUILD_DIR}/qavat-sweep" emit table1 \
   -o "${MANIFEST_TMP}/table1.json"
 QAVAT_FAST=1 QAVAT_STORE_DIR="${MANIFEST_TMP}/seq-store" \
-  "${BUILD_DIR}/qavat-sweep" run "${MANIFEST_TMP}/table1.json" --sequential \
+  "${BUILD_DIR}/qavat-sweep" run "${MANIFEST_TMP}/table1.json" \
   > "${MANIFEST_TMP}/seq.out" 2> "${MANIFEST_TMP}/seq.err"
 QAVAT_FAST=1 QAVAT_STORE_DIR="${MANIFEST_TMP}/race-store" \
   "${BUILD_DIR}/qavat-sweep" run "${MANIFEST_TMP}/table1.json" --workers 2 \
   > "${MANIFEST_TMP}/race.out" 2> "${MANIFEST_TMP}/race.err"
 if ! cmp "${MANIFEST_TMP}/seq.out" "${MANIFEST_TMP}/race.out"; then
-  echo "manifest gate: 2-worker stdout differs from sequential reference" >&2
+  echo "manifest gate: 2-worker stdout differs from single-process" \
+       "reference" >&2
   exit 1
 fi
 sweep_runs_of() {
@@ -281,7 +284,7 @@ SEQ_RUNS="$(sweep_runs_of "${MANIFEST_TMP}/seq.err")"
 RACE_RUNS="$(sweep_runs_of "${MANIFEST_TMP}/race.err")"
 if [[ -z "${SEQ_RUNS}" || -z "${RACE_RUNS}" ||
       "${SEQ_RUNS}" -ne "${RACE_RUNS}" ]]; then
-  echo "manifest gate: summed train_runs '${RACE_RUNS}' != sequential" \
+  echo "manifest gate: summed train_runs '${RACE_RUNS}' != single-process" \
        "'${SEQ_RUNS}' - work was duplicated or lost" >&2
   exit 1
 fi

@@ -262,13 +262,6 @@ TrainedModel trained_model(const std::vector<TrainUnit>& plan,
   return out;
 }
 
-TrainedModel train_cached(ModelKind kind, const ModelConfig& mcfg, TrainAlgo algo,
-                          const SplitDataset& data, const TrainConfig& tcfg) {
-  const ScenarioAlgo recipe =
-      algo == TrainAlgo::kQAT ? ScenarioAlgo::kQAT : ScenarioAlgo::kQAVAT;
-  return trained_model(training_units(kind, mcfg, recipe, data, tcfg), data);
-}
-
 ModelConfig default_model_config(ModelKind kind, index_t a_bits, index_t w_bits) {
   ModelConfig cfg;
   cfg.a_bits = a_bits;

@@ -121,13 +121,6 @@ bool unit_available(const TrainUnit& unit);
 TrainedModel trained_model(const std::vector<TrainUnit>& plan,
                            const SplitDataset& data);
 
-/// trained_model over the paper's two-phase recipe: QAT pretraining
-/// (shared across algorithms via its own cache entry), then — for
-/// kQAVAT — noisy-forward fine-tuning at half the learning rate.
-TrainedModel train_cached(ModelKind kind, const ModelConfig& mcfg,
-                          TrainAlgo algo, const SplitDataset& data,
-                          const TrainConfig& tcfg);
-
 ModelConfig default_model_config(ModelKind kind, index_t a_bits, index_t w_bits);
 TrainConfig default_train_config(ModelKind kind);
 EvalConfig default_eval_config(ModelKind kind);

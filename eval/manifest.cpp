@@ -1,5 +1,6 @@
 #include "eval/manifest.h"
 
+#include <climits>
 #include <cstdio>
 #include <utility>
 
@@ -132,6 +133,19 @@ std::vector<SweepManifest> shard_manifest(const SweepManifest& m, int k) {
     shards[s % static_cast<std::size_t>(k)].specs.push_back(m.specs[s]);
   }
   return shards;
+}
+
+bool parse_positive_count(const char* text, int* out) {
+  if (*text == '\0') return false;
+  long long v = 0;
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return false;
+    v = v * 10 + (*p - '0');
+    if (v > INT_MAX) return false;  // before the next digit can overflow
+  }
+  if (v < 1) return false;
+  *out = static_cast<int>(v);
+  return true;
 }
 
 // ------------------------------------------------------- built-in grids

@@ -3,8 +3,8 @@
 // plus campaign metadata (name, schema version), with a lossless
 // load/save round trip — so a grid can be emitted once (`qavat-sweep
 // emit`), diffed, versioned, split across a fleet, and consumed by the
-// generic sweep engine (`qavat-sweep run`, Session::run_manifest)
-// without recompiling a bench binary. Validation is per-entry and
+// generic sweep engine (`qavat-sweep run`, Session::run_all) without
+// recompiling a bench binary. Validation is per-entry and
 // per-field: a malformed manifest reports the offending spec index and
 // field (via ScenarioSpec::from_value's error channel), never a bare
 // "false". DESIGN.md §15.
@@ -24,8 +24,8 @@ namespace qavat {
 inline constexpr int kManifestSchemaVersion = 1;
 
 /// An ordered scenario grid with campaign metadata. Unit order IS the
-/// result order: Session::run_manifest returns results[i] for specs[i]
-/// whatever dynamic order the claim-aware scheduler executed them in.
+/// result order: Session::run_all returns results[i] for specs[i]
+/// whatever order its training lanes produced the units in.
 struct SweepManifest {
   std::string name;                 ///< campaign name (space-free token)
   std::vector<ScenarioSpec> specs;  ///< the grid, in result order
@@ -61,6 +61,12 @@ struct SweepManifest {
 /// back in round-robin order reproduces the original spec sequence.
 /// k < 1 is clamped to 1 (one shard = a renamed copy).
 std::vector<SweepManifest> shard_manifest(const SweepManifest& m, int k);
+
+/// Strict parse of a sweep process or shard count (`--workers K`,
+/// `--shards K`): the whole of `text` must be decimal digits naming a
+/// value in [1, INT_MAX]. Returns false, leaving *out untouched, on
+/// anything else — "abc", "3x", "0", "-2", "+2", "" or an overflow.
+bool parse_positive_count(const char* text, int* out);
 
 /// Names of the built-in grid generators: the spec grids the stock
 /// benches sweep, exposed as manifests so `qavat-sweep emit <name>`

@@ -21,19 +21,13 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Advisory probe for the claim-aware scheduler: a spec is "blocked"
-// when its FIRST unproduced claim unit has a live lease held elsewhere.
-// Produced units are skipped (they will be store hits); the first
-// unproduced, unclaimed unit makes the spec runnable — this process can
-// contend for (or win) that claim immediately. Purely a heuristic for
-// ordering local work: the work-claim protocol itself still arbitrates
-// every producer, so a stale answer costs a wait, never a double train.
-bool spec_blocked(const std::vector<ClaimUnitRef>& units) {
-  for (const ClaimUnitRef& u : units) {
-    if (store_has(u.bucket, u.key)) continue;
-    return store_claim_busy(u.bucket, u.key);
-  }
-  return false;  // everything already produced: pure warm run
+// A unit another process is producing right now: no artifact yet and a
+// live lease on it. Advisory, for ordering local work only: the
+// work-claim protocol still arbitrates every producer, so a stale
+// answer costs a wait, never a double train.
+bool busy_elsewhere(const TrainUnit& unit) {
+  return !store_has("models", unit.key) &&
+         store_claim_busy("models", unit.key);
 }
 
 // The training plan of one spec (eval/experiment.h training_units).
@@ -87,17 +81,13 @@ TrainedModel Session::train_model(const ScenarioSpec& spec) {
 
 ScenarioResult Session::run(const ScenarioSpec& spec) {
   ++scenarios_;
-  const auto t0 = std::chrono::steady_clock::now();
-  TrainedModel tm = train_model(spec);
-  return finish_scenario(spec, std::move(tm), seconds_since(t0));
+  return finish_scenario(spec, train_model(spec));
 }
 
 ScenarioResult Session::finish_scenario(const ScenarioSpec& spec,
-                                        TrainedModel tm,
-                                        double train_seconds) {
+                                        TrainedModel tm) {
   ScenarioResult r;
   r.key = spec.key();
-  r.train_seconds = train_seconds;
   r.trained = tm.trained;
   r.model_from_store = tm.from_store;
   r.clean_acc = tm.clean_test_acc;
@@ -113,8 +103,7 @@ ScenarioResult Session::finish_scenario(const ScenarioSpec& spec,
                                             spec.eval, st);
         },
         &r.eval_computed);
-    r.eval_seconds = seconds_since(t1);
-    eval_seconds_ += r.eval_seconds;
+    eval_seconds_ += seconds_since(t1);
     if (r.eval_computed) {
       ++evals_computed_;
     } else {
@@ -180,12 +169,14 @@ std::vector<ScenarioResult> Session::run_all(
                    });
 
   // Train: one outer pool span per lane. A lane takes the first ready
-  // unit in pick order (a fine-tune is ready once its pretrain is done),
-  // produces it — its Module and Workspace live only inside
-  // produce_unit — and records the outcome. Lanes that find nothing
-  // ready while units are still pending wait for a lane to finish. The
-  // first failure stops the lanes from starting new units; in-flight
-  // units finish and publish.
+  // unit in pick order (a fine-tune is ready once its pretrain is done)
+  // that no other process is producing, produces it — its Module and
+  // Workspace live only inside produce_unit — and records the outcome.
+  // When every ready unit is busy elsewhere, the lane takes the first of
+  // them anyway: produce_unit's claim_or_load waits for the peer and
+  // loads its artifact. Lanes that find nothing ready while units are
+  // still pending wait for a lane to finish. The first failure stops the
+  // lanes from starting new units; in-flight units finish and publish.
   std::mutex mu;
   std::condition_variable cv;
   bool failed = false;
@@ -194,17 +185,23 @@ std::vector<ScenarioResult> Session::run_all(
     for (;;) {
       if (failed) return;
       LaneUnit* pick = nullptr;
+      LaneUnit* first_busy = nullptr;
       bool pending = false;
       for (const std::size_t u : order) {
         LaneUnit& c = units[u];
         if (c.state != LaneUnit::kPending) continue;
         pending = true;
-        if (c.pretrain == LaneUnit::kNone ||
-            units[c.pretrain].state == LaneUnit::kDone) {
+        if (c.pretrain != LaneUnit::kNone &&
+            units[c.pretrain].state != LaneUnit::kDone) {
+          continue;
+        }
+        if (!busy_elsewhere(c.unit)) {
           pick = &c;
           break;
         }
+        if (first_busy == nullptr) first_busy = &c;
       }
+      if (pick == nullptr) pick = first_busy;
       if (pick == nullptr) {
         if (!pending) return;
         cv.wait(lk);
@@ -251,8 +248,7 @@ std::vector<ScenarioResult> Session::run_all(
     }
     const auto t0 = std::chrono::steady_clock::now();
     TrainedModel tm = train_spec(specs[i]);
-    const double train_seconds = seconds_since(t0);
-    train_seconds_ += train_seconds;
+    train_seconds_ += seconds_since(t0);
     if (!attributed[plan.back()]) {
       attributed[plan.back()] = true;
       tm.trained = tm.trained || target.outcome.trained;
@@ -263,7 +259,7 @@ std::vector<ScenarioResult> Session::run_all(
     }
     count_training(tm);
     ++scenarios_;
-    results.push_back(finish_scenario(specs[i], std::move(tm), train_seconds));
+    results.push_back(finish_scenario(specs[i], std::move(tm)));
   }
   return results;
 }
@@ -275,56 +271,6 @@ std::vector<ClaimUnitRef> Session::claim_units(const ScenarioSpec& spec) {
   }
   if (spec.deploy.enabled()) units.push_back({"evals", spec.key()});
   return units;
-}
-
-std::vector<ScenarioResult> Session::run_manifest(const SweepManifest& manifest,
-                                                  SweepSchedule* schedule) {
-  const std::vector<ScenarioSpec>& specs = manifest.specs;
-  std::vector<ScenarioResult> results(specs.size());
-  SweepSchedule local;
-  SweepSchedule& trace = schedule != nullptr ? *schedule : local;
-  trace = SweepSchedule{};
-  if (specs.empty()) return results;
-
-  // Datasets up front (claim_units needs them anyway, and run() must
-  // not race dataset() if a caller threads around this Session).
-  for (const ScenarioSpec& spec : specs) dataset(spec.model);
-
-  // Round-based greedy scheduler: run every pending spec whose next
-  // unproduced claim unit is free, defer the busy ones, repeat. Only
-  // when a whole round defers everything (all pending work is being
-  // produced by other processes) does this process back off — and even
-  // then it re-probes, because a peer publishing an artifact or
-  // dropping a lease unblocks us with no notification channel.
-  std::vector<index_t> pending(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    pending[i] = static_cast<index_t>(i);
-  }
-  int backoff_attempt = 0;
-  while (!pending.empty()) {
-    std::vector<index_t> deferred;
-    deferred.reserve(pending.size());
-    for (const index_t idx : pending) {
-      const ScenarioSpec& spec = specs[static_cast<std::size_t>(idx)];
-      if (spec_blocked(claim_units(spec))) {
-        ++trace.deferrals;
-        deferred.push_back(idx);
-        continue;
-      }
-      results[static_cast<std::size_t>(idx)] = run(spec);
-      trace.completion_order.push_back(idx);
-    }
-    const bool progressed = deferred.size() < pending.size();
-    pending = std::move(deferred);
-    if (pending.empty()) break;
-    if (!progressed) {
-      ++trace.wait_rounds;
-      store_claim_backoff_wait(backoff_attempt++);
-    } else {
-      backoff_attempt = 0;
-    }
-  }
-  return results;
 }
 
 SessionCounters Session::counters() const {

@@ -3,23 +3,23 @@
 // model kind), train through the store-backed model cache, Monte-Carlo
 // evaluate through the store-backed result cache — and returns a
 // ScenarioResult carrying the numbers plus provenance (what was actually
-// computed vs loaded) and timing. Deterministic: a warm session run
-// reproduces a cold run's numbers bit-identically (DESIGN.md §11), so
-// the provenance/timing channel is the only part that may differ —
-// benches print it to stderr, keeping stdout byte-stable.
+// computed vs loaded); timing aggregates in the session's counters.
+// Deterministic: a warm session run reproduces a cold run's numbers
+// bit-identically (DESIGN.md §11), so the provenance/timing channel is
+// the only part that may differ — benches print it to stderr, keeping
+// stdout byte-stable.
 #pragma once
 
 #include <map>
 #include <vector>
 
 #include "eval/experiment.h"
-#include "eval/manifest.h"
 #include "eval/scenario.h"
 
 namespace qavat {
 
 /// Everything Session::run produces for one scenario: accuracies,
-/// Monte-Carlo stats, provenance and timing.
+/// Monte-Carlo stats and provenance.
 struct ScenarioResult {
   std::string key;          ///< the spec's canonical cache/store key
   double clean_acc = 0.0;   ///< noise-free test accuracy of the model
@@ -29,12 +29,10 @@ struct ScenarioResult {
   bool trained = false;         ///< training actually ran during this call
   bool model_from_store = false;  ///< model loaded from the disk store
   bool eval_computed = false;   ///< MC eval ran (vs memory/store hit)
-  double train_seconds = 0.0;   ///< wall time in the training entry point
-  double eval_seconds = 0.0;    ///< wall time in the evaluation entry point
 };
 
 /// Snapshot of a Session's provenance counters (the numbers
-/// print_summary writes to stderr), exposed so schedulers and tests can
+/// print_summary writes to stderr), exposed so tools and tests can
 /// assert aggregation without scraping the log line. train_runs lives in
 /// eval/experiment.h (training_runs()) because it is process-wide, not
 /// per-session.
@@ -51,23 +49,12 @@ struct SessionCounters {
 };
 
 /// One work-claim unit of a scenario: the (store bucket, canonical key)
-/// pair the work-claim protocol serializes producers on. The scheduler
-/// probes these to decide whether another process is already producing
-/// part of a scenario.
+/// pair the work-claim protocol serializes producers on. --dry-run and
+/// tests probe these to see whether a scenario's parts are published,
+/// being produced by some process, or free to claim.
 struct ClaimUnitRef {
   const char* bucket;  ///< store bucket name ("models" or "evals")
   std::string key;     ///< canonical artifact key within the bucket
-};
-
-/// Trace of one run_manifest execution, for tests and --dry-run
-/// introspection of the claim-aware scheduler.
-struct SweepSchedule {
-  std::vector<index_t> completion_order;  ///< spec indices, in the order
-                                          ///< they actually executed
-  index_t deferrals = 0;   ///< times a busy unit made the scheduler skip
-                           ///< a spec and move on within a round
-  index_t wait_rounds = 0; ///< rounds where every pending spec was busy
-                           ///< and the scheduler had to back off
 };
 
 /// Executes ScenarioSpecs against process-wide caches and the artifact
@@ -78,9 +65,10 @@ class Session {
   /// Train (through the cache/store) and evaluate one scenario.
   ScenarioResult run(const ScenarioSpec& spec);
 
-  /// Batch execution on training lanes: results return in spec order
-  /// and carry the same numbers and per-spec provenance a sequential
-  /// run() loop would produce.
+  /// Batch execution on training lanes, the one batch scheduler (benches,
+  /// qavat-sweep and its forked workers all call it): results return in
+  /// spec order and carry the same numbers and per-spec provenance a
+  /// sequential run() loop would produce.
   ///  * Train: the specs' training units (eval/experiment.h
   ///    training_units), deduplicated by key, run on
   ///    min(num_threads(), units) lanes — one outer pool span each. A
@@ -88,6 +76,11 @@ class Session {
   ///    first, then units in spec order. Each lane owns one Module and its
   ///    Workspace per unit. Every unit still goes through the work-claim
   ///    protocol, the only cross-process authority.
+  ///  * Busy skip: a lane passes over a ready unit that another process
+  ///    is producing (no artifact yet, live lease) and takes the next
+  ///    ready one, so co-operating processes on one store drain disjoint
+  ///    units first. When only busy units are ready it takes the first of
+  ///    them anyway; the work-claim wait then loads the peer's artifact.
   ///  * Evaluate: the specs, in order, on the calling thread (the
   ///    evaluator's chip lanes run inside each evaluation).
   ///  * Provenance: a unit's trained/from_store flags belong to the first
@@ -100,34 +93,16 @@ class Session {
   ///    exception; nothing after it is evaluated.
   std::vector<ScenarioResult> run_all(const std::vector<ScenarioSpec>& specs);
 
-  /// Claim-aware batch execution over a manifest: results return in
-  /// MANIFEST order with the same numbers and provenance a sequential
-  /// run() loop would produce, but the execution order is dynamic —
-  /// when a spec's next unproduced claim unit is held by another
-  /// process (live .claim lease), the scheduler defers that spec and
-  /// moves on to the next runnable one instead of blocking in the
-  /// claim-wait loop; it only backs off (store_claim_backoff_wait) when
-  /// every pending spec is busy. Exactly-once training across processes
-  /// is untouched: the probe is advisory, and the underlying work-claim
-  /// protocol still arbitrates every producer — the scheduler merely
-  /// reorders local work so co-operating sweepers drain disjoint units
-  /// first. With the store disabled, degenerates to a sequential run()
-  /// loop. `schedule` (optional) receives the dynamic execution trace.
-  /// A scenario failure propagates immediately (the failing spec's
-  /// position in the dynamic order, not the manifest order).
-  std::vector<ScenarioResult> run_manifest(const SweepManifest& manifest,
-                                           SweepSchedule* schedule = nullptr);
-
   /// The work-claim units run(spec) would produce, in production order:
   /// the spec's training units (eval/experiment.h training_units — the
   /// QAT pretrain, then the QAVAT fine-tune when the spec fine-tunes; or
   /// the PTQ-VAT model), then the Monte-Carlo eval when deploy noise is
-  /// enabled. Used by the scheduler and --dry-run to probe
-  /// artifact/claim state non-destructively.
+  /// enabled. Used by --dry-run and tests to probe artifact/claim
+  /// state non-destructively.
   std::vector<ClaimUnitRef> claim_units(const ScenarioSpec& spec);
 
   /// This session's provenance counters so far (run + run_all +
-  /// run_manifest + train_model all aggregate into the same totals).
+  /// train_model all aggregate into the same totals).
   SessionCounters counters() const;
 
   /// Just the (cached/store-backed) trained model of a scenario, for
@@ -160,8 +135,7 @@ class Session {
   void count_training(const TrainedModel& tm);
   // Evaluation half of run(): everything after training — shared by
   // run() and run_all so their results are identical by construction.
-  ScenarioResult finish_scenario(const ScenarioSpec& spec, TrainedModel tm,
-                                 double train_seconds);
+  ScenarioResult finish_scenario(const ScenarioSpec& spec, TrainedModel tm);
 
   std::map<ModelKind, SplitDataset> datasets_;
   index_t scenarios_ = 0;

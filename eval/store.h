@@ -101,7 +101,7 @@ bool store_save_state(const char* bucket, const std::string& key,
 
 /// Cheap existence probe: true when an artifact file is published for
 /// (bucket, key). No content validation, no quarantine side effects —
-/// the claim-aware scheduler and `qavat-sweep --dry-run` use it to
+/// run_all's lane picker and `qavat-sweep --dry-run` use it to
 /// classify units without paying a full load (a published-but-corrupt
 /// artifact reads "present" here and is handled by the load path's
 /// quarantine-and-recompute when actually consumed). False when the
@@ -113,7 +113,7 @@ bool store_has(const char* bucket, const std::string& key);
 /// is producing the artifact right now and skipping to other work is
 /// productive. An absent or stale claim (reclaimable immediately), or a
 /// disabled store, reads false. Never creates, refreshes or reclaims
-/// anything — the scheduler's look-before-you-claim primitive.
+/// anything — the lane picker's look-before-you-claim primitive.
 bool store_claim_busy(const char* bucket, const std::string& key);
 
 /// Delete every artifact under this schema's namespace
@@ -226,7 +226,7 @@ struct ClaimWait {
 };
 
 /// The one claim-or-load round trip every read-through cache (models,
-/// evals, results, fleet snapshots) runs: loop probing the artifact
+/// evals, fleet snapshots) runs: loop probing the artifact
 /// (`probe` returns true on a valid hit and reports what it observed
 /// through its StoreLoadOutcome*) and trying to claim the right to
 /// produce it, backing off with store_claim_backoff_wait() while another

@@ -3,11 +3,11 @@
 // warm), provenance counter aggregation (counters()), training lanes
 // at 1/2/4 threads against a run() loop (numbers, per-spec provenance,
 // counters, train() count), failure surfacing at the failing spec's
-// position with no new unit started after it, and the claim-aware
-// scheduler's busy-skip behavior — a unit whose
-// claim is held elsewhere is deferred, not waited on, and results still
-// return in manifest order. Runs against a private temp store
-// (QAVAT_STORE_DIR is set first thing in main, before any store call).
+// position with no new unit started after it, and the lanes' busy
+// skip — a unit whose claim is held elsewhere is passed over, not
+// waited on, while other units are ready, and results still return in
+// spec order. Runs against a private temp store (QAVAT_STORE_DIR is set
+// first thing in main, before any store call).
 #include <unistd.h>
 
 #include <chrono>
@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "eval/manifest.h"
 #include "eval/runner.h"
 #include "eval/store.h"
 #include "tensor/parallel_for.h"
@@ -44,7 +43,7 @@ ScenarioSpec tiny_spec(std::uint64_t init_seed, double sigma) {
 }
 
 // Clean-only (no deploy noise) QAT spec: exactly one claim unit, the
-// QAT pretrain model — the minimal unit for scheduler probes.
+// QAT pretrain model — the minimal unit for busy-skip probes.
 ScenarioSpec clean_qat_spec(std::uint64_t init_seed) {
   ScenarioSpec s = ScenarioSpec::base(ModelKind::kLeNet5s, 4, 4,
                                       ScenarioAlgo::kQAT);
@@ -106,26 +105,6 @@ void test_run_all_matches_run_loop() {
   CHECK(warm.model_store_hits == 2);
   CHECK(warm.evals_computed == 0);
   CHECK(warm.eval_cache_hits == 2);
-
-  // run_manifest (uncontended) over the same specs: manifest-order
-  // results, identical numbers, in-order completion trace.
-  clear_experiment_caches(false);
-  SweepManifest m;
-  m.name = "test";
-  m.specs = specs;
-  Session manifest_session;
-  SweepSchedule schedule;
-  const std::vector<ScenarioResult> manifest_results =
-      manifest_session.run_manifest(m, &schedule);
-  CHECK(manifest_results.size() == specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    CHECK(results_identical(manifest_results[i], all_results[i]));
-  }
-  CHECK(schedule.completion_order.size() == specs.size());
-  CHECK(schedule.completion_order[0] == 0);
-  CHECK(schedule.completion_order[1] == 1);
-  CHECK(schedule.deferrals == 0);
-  CHECK(schedule.wait_rounds == 0);
 }
 
 void test_failure_position() {
@@ -275,62 +254,62 @@ void test_run_all_lanes_match_run_loop() {
   set_num_threads(0);  // back to QAVAT_THREADS
 }
 
-void test_scheduler_busy_skip() {
+void test_run_all_busy_skip() {
   clear_experiment_caches(true);
   const std::vector<ScenarioSpec> specs = {clean_qat_spec(101),
                                            clean_qat_spec(202)};
-  SweepManifest m;
-  m.name = "busy_skip";
-  m.specs = specs;
 
   Session probe_session;
   const std::string key0 = probe_session.claim_units(specs[0])[0].key;
   const std::string key1 = probe_session.claim_units(specs[1])[0].key;
   CHECK(key0 != key1);
 
-  // Hold spec 0's claim like a concurrent producer would, then run the
-  // scheduler in another thread: it must defer spec 0, run spec 1, and
-  // only come back to spec 0 once the claim is dropped.
+  // Hold spec 0's claim like a concurrent producer would, then run
+  // run_all on ONE lane in another thread. The lane must pass over
+  // spec 0's busy unit and produce spec 1's while the lease is held —
+  // with a single lane that skip is the only way key1 can publish
+  // first — and take spec 0's unit once nothing else is ready, waiting
+  // in the work-claim protocol until the lease is dropped.
   StoreClaimStatus status = StoreClaimStatus::kUnavailable;
   StoreClaim held = store_try_claim("models", key0, &status);
   CHECK(status == StoreClaimStatus::kAcquired);
   CHECK(held.held());
   CHECK(store_claim_busy("models", key0));
 
-  SweepSchedule schedule;
+  set_num_threads(1);
   std::vector<ScenarioResult> results;
   std::thread runner([&] {
     Session session;
-    results = session.run_manifest(m, &schedule);
+    results = session.run_all(specs);
   });
 
-  // Wait (bounded) for the scheduler to finish the unblocked spec,
-  // then release the lease so it can drain spec 0.
+  // Wait (bounded) for the lane to publish the unblocked unit, then
+  // release the lease so it can produce spec 0's.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(120);
   while (!store_has("models", key1) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  CHECK(store_has("models", key1));
+  CHECK(store_has("models", key1));  // published while key0 was held
+  CHECK(!store_has("models", key0));
   held.release();
   runner.join();
+  set_num_threads(0);  // back to QAVAT_THREADS
 
-  // Manifest-order results, out-of-order execution.
+  // Spec-order results, out-of-order production.
   CHECK(results.size() == 2);
   CHECK(results[0].key == specs[0].key());
   CHECK(results[1].key == specs[1].key());
-  CHECK(schedule.completion_order.size() == 2);
-  CHECK(schedule.completion_order[0] == 1);
-  CHECK(schedule.completion_order[1] == 0);
-  CHECK(schedule.deferrals >= 1);
+  CHECK(store_has("models", key0));
 }
 
 }  // namespace
 
 int main() {
   // Private store, enabled, before any store call; fast claim backoff
-  // so the drain phase of the busy-skip test turns around quickly.
+  // so the busy-skip test's lane turns around quickly once the lease it
+  // waits on is dropped.
   const std::string store_dir =
       (fs::temp_directory_path() /
        ("qavat-test-runner-" + std::to_string(::getpid())))
@@ -343,7 +322,7 @@ int main() {
   test_run_all_matches_run_loop();
   test_failure_position();
   test_run_all_lanes_match_run_loop();
-  test_scheduler_busy_skip();
+  test_run_all_busy_skip();
 
   fs::remove_all(store_dir, ec);
   return qavat::test::finish("test_runner");

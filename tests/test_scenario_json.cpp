@@ -333,6 +333,21 @@ void test_manifest_sharding() {
   CHECK(one[0].specs.size() == m.specs.size());
 }
 
+// The --workers/--shards parser takes whole positive decimal integers
+// only; a rejected value leaves the target untouched.
+void test_parse_positive_count() {
+  int n = 0;
+  CHECK(parse_positive_count("1", &n) && n == 1);
+  CHECK(parse_positive_count("12", &n) && n == 12);
+  CHECK(parse_positive_count("2147483647", &n) && n == 2147483647);
+  for (const char* bad : {"", "abc", "3x", "x3", "0", "-2", "+2", " 2",
+                          "2 ", "1.5", "2147483648", "99999999999999999999"}) {
+    n = 7;
+    CHECK(!parse_positive_count(bad, &n));
+    CHECK(n == 7);
+  }
+}
+
 void test_manifest_rejection() {
   SweepManifest good;
   CHECK(builtin_manifest("sweep_sigma", &good));
@@ -409,6 +424,7 @@ int main() {
   test_rejection();
   test_manifest_roundtrip();
   test_manifest_sharding();
+  test_parse_positive_count();
   test_manifest_rejection();
   return qavat::test::finish("test_scenario_json");
 }

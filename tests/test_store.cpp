@@ -221,7 +221,7 @@ void test_store_read_through() {
   CHECK(got.accuracy.stddev == stats.accuracy.stddev);
 }
 
-void test_train_cached_store(const fs::path& store_dir) {
+void test_trained_model_store(const fs::path& store_dir) {
   // Tiny workload so the test trains in well under a second.
   SynthDigitsConfig dcfg;
   dcfg.n_train = 96;
@@ -235,14 +235,16 @@ void test_train_cached_store(const fs::path& store_dir) {
       VarianceModel::kWeightProportional, 0.3);
 
   const index_t runs0 = training_runs();
-  TrainedModel cold = train_cached(kind, mcfg, TrainAlgo::kQAVAT, data, tcfg);
+  TrainedModel cold = trained_model(
+      training_units(kind, mcfg, ScenarioAlgo::kQAVAT, data, tcfg), data);
   CHECK(cold.trained);
   CHECK(training_runs() == runs0 + 2);  // pretrain + fine-tune
 
   // Warm path: drop the memory cache, reload from disk — zero training,
   // bit-identical parameters.
   clear_experiment_caches();
-  TrainedModel warm = train_cached(kind, mcfg, TrainAlgo::kQAVAT, data, tcfg);
+  TrainedModel warm = trained_model(
+      training_units(kind, mcfg, ScenarioAlgo::kQAVAT, data, tcfg), data);
   CHECK(!warm.trained);
   CHECK(warm.from_store);
   CHECK(training_runs() == runs0 + 2);
@@ -269,19 +271,22 @@ void test_train_cached_store(const fs::path& store_dir) {
     ++damaged;
   }
   CHECK(damaged >= 2);  // pretrain + fine-tuned artifacts exist
-  TrainedModel healed = train_cached(kind, mcfg, TrainAlgo::kQAVAT, data, tcfg);
+  TrainedModel healed = trained_model(
+      training_units(kind, mcfg, ScenarioAlgo::kQAVAT, data, tcfg), data);
   CHECK(healed.trained);
   CHECK(training_runs() == runs0 + 4);  // both phases retrained
   CHECK(healed.clean_test_acc == cold.clean_test_acc);  // deterministic retrain
   clear_experiment_caches();
-  TrainedModel rewarmed = train_cached(kind, mcfg, TrainAlgo::kQAVAT, data, tcfg);
+  TrainedModel rewarmed = trained_model(
+      training_units(kind, mcfg, ScenarioAlgo::kQAVAT, data, tcfg), data);
   CHECK(!rewarmed.trained);  // artifacts healed
   CHECK(training_runs() == runs0 + 4);
 
   // drop_disk wipes the schema subtree.
   clear_experiment_caches(/*drop_disk=*/true);
   CHECK(!fs::exists(store_dir / "v1"));
-  TrainedModel recold = train_cached(kind, mcfg, TrainAlgo::kQAVAT, data, tcfg);
+  TrainedModel recold = trained_model(
+      training_units(kind, mcfg, ScenarioAlgo::kQAVAT, data, tcfg), data);
   CHECK(recold.trained);
   CHECK(training_runs() == runs0 + 6);
 }
@@ -316,7 +321,7 @@ int main() {
   test_module_state_roundtrip();
   test_scenario_json_and_key();
   test_store_read_through();
-  test_train_cached_store(store_dir);
+  test_trained_model_store(store_dir);
   test_key_filename();
 
   // QAVAT_STORE=0 disables persistence entirely.

@@ -4,7 +4,7 @@
 // token-checked release), the QAVAT_STORE_FAULT injection points
 // (enospc, torn_write, corrupt_read, kill_before_rename — the last via
 // a real fork()ed child dying mid-publish), quarantine-and-retrain
-// healing through train_cached, the orphaned-tmp sweep, and the
+// healing through trained_model, the orphaned-tmp sweep, and the
 // gc/verify/evict maintenance entry points the qavat-store CLI wraps.
 // Runs against a private temp store (QAVAT_STORE_DIR set before any
 // store call). Test order matters: the opportunistic-sweep test must
@@ -348,7 +348,8 @@ void test_retrain_after_corruption() {
       VarianceModel::kWeightProportional, 0.3);
 
   const index_t runs0 = training_runs();
-  TrainedModel cold = train_cached(kind, mcfg, TrainAlgo::kQAVAT, data, tcfg);
+  TrainedModel cold = trained_model(
+      training_units(kind, mcfg, ScenarioAlgo::kQAVAT, data, tcfg), data);
   CHECK(cold.trained);
   CHECK(training_runs() == runs0 + 2);  // pretrain + fine-tune
 
@@ -369,7 +370,8 @@ void test_retrain_after_corruption() {
 
   const StoreStats s0 = store_stats();
   const long long q0 = quarantine_count();
-  TrainedModel healed = train_cached(kind, mcfg, TrainAlgo::kQAVAT, data, tcfg);
+  TrainedModel healed = trained_model(
+      training_units(kind, mcfg, ScenarioAlgo::kQAVAT, data, tcfg), data);
   CHECK(healed.trained);
   CHECK(training_runs() == runs0 + 4);
   CHECK(healed.clean_test_acc == cold.clean_test_acc);  // deterministic
@@ -380,7 +382,8 @@ void test_retrain_after_corruption() {
 
   // Artifacts healed: a cold-memory rerun is a pure store hit.
   clear_experiment_caches();
-  TrainedModel warm = train_cached(kind, mcfg, TrainAlgo::kQAVAT, data, tcfg);
+  TrainedModel warm = trained_model(
+      training_units(kind, mcfg, ScenarioAlgo::kQAVAT, data, tcfg), data);
   CHECK(!warm.trained);
   CHECK(warm.from_store);
   CHECK(training_runs() == runs0 + 4);

@@ -21,7 +21,8 @@ int main() {
       VariabilityConfig::within_only(VarianceModel::kWeightProportional, 0.3);
   tcfg.train_noise = env;
 
-  auto qat = train_cached(kind, mcfg, TrainAlgo::kQAT, data, tcfg);
+  auto qat = trained_model(
+      training_units(kind, mcfg, ScenarioAlgo::kQAT, data, tcfg), data);
   std::printf("QAT clean accuracy: %.3f\n", qat.clean_test_acc);
   CHECK(qat.clean_test_acc > 0.6);  // the pipeline actually learns
 
@@ -30,7 +31,8 @@ int main() {
   EvalStats qat_noisy =
       evaluate_under_variability(*qat.model, data.test, env, ecfg);
 
-  auto qavat = train_cached(kind, mcfg, TrainAlgo::kQAVAT, data, tcfg);
+  auto qavat = trained_model(
+      training_units(kind, mcfg, ScenarioAlgo::kQAVAT, data, tcfg), data);
   std::printf("QAVAT clean accuracy: %.3f\n", qavat.clean_test_acc);
   EvalStats qavat_noisy =
       evaluate_under_variability(*qavat.model, data.test, env, ecfg);

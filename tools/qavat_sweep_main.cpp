@@ -1,6 +1,6 @@
 // qavat-sweep: manifest-driven sweep engine — the operational front end
-// of Session::run_manifest (eval/runner.h) for a fleet of processes
-// sharing one artifact store.
+// of Session::run_all (eval/runner.h) for a fleet of processes sharing
+// one artifact store.
 //
 //   qavat-sweep emit
 //       List the built-in grid generators.
@@ -11,17 +11,17 @@
 //       setting. --shards K instead writes K disjoint round-robin
 //       manifests (<base>.shard<i>of<K>) for hosts that do not share a
 //       store; together they partition the grid losslessly.
-//   qavat-sweep run <manifest.json> [--workers K] [--sequential]
-//                   [--dry-run]
-//       Execute a manifest. Default: one in-process claim-aware
-//       run_manifest pass. --workers K forks K workers (before any
-//       compute, so no pool threads cross fork) over the shared store;
-//       the parent asserts every worker's result vector is
-//       byte-identical and prints worker 0's. --sequential uses the
-//       plain lane-trained run_all — the byte-comparable reference the CI
-//       manifest gate diffs the scheduler paths against. --dry-run
-//       probes each spec's claim units (done/busy/ready) and runs
-//       nothing.
+//   qavat-sweep run <manifest.json> [--workers K] [--dry-run]
+//       Execute a manifest. Default: one in-process run_all pass.
+//       --workers K forks K workers (before any compute, so no pool
+//       threads cross fork), each a run_all pass over the shared store
+//       whose lanes skip units a peer is producing; the parent asserts
+//       every worker's result vector is byte-identical and prints
+//       worker 0's. --dry-run probes each spec's claim units
+//       (done/busy/ready) and runs nothing.
+//
+// K in --workers K and --shards K must be a positive decimal integer;
+// anything else prints usage and exits 2.
 //
 // Per-result stdout lines are byte-stable across all run modes:
 //   result <i> key=<spec key> clean=<g> mean=<g> stddev=<g>
@@ -32,7 +32,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -54,12 +53,10 @@ int usage(const char* argv0) {
                "manifest\n"
                "                               (--shards K: K disjoint "
                "round-robin manifests)\n"
-               "  run <manifest.json> [--workers K] [--sequential] "
-               "[--dry-run]\n"
+               "  run <manifest.json> [--workers K] [--dry-run]\n"
                "                               execute a manifest "
-               "(claim-aware scheduler;\n"
-               "                               --sequential = plain run_all "
-               "reference)\n",
+               "(--workers K: K processes\n"
+               "                               sharing one store)\n",
                argv0);
   return 2;
 }
@@ -95,9 +92,11 @@ int cmd_emit(int argc, char** argv) {
     if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
-      if (shards < 1) {
-        std::fprintf(stderr, "qavat-sweep: --shards must be >= 1\n");
+      if (!parse_positive_count(argv[++i], &shards)) {
+        std::fprintf(stderr,
+                     "qavat-sweep: --shards expects a positive integer, "
+                     "got '%s'\n",
+                     argv[i]);
         return usage(argv[0]);
       }
     } else {
@@ -159,12 +158,11 @@ int dry_run(const SweepManifest& m) {
   return 0;
 }
 
-// One in-process pass, claim-aware (default) or sequential reference.
-int run_single(const SweepManifest& m, bool sequential) {
+// One in-process pass.
+int run_single(const SweepManifest& m) {
   const long long runs_before = static_cast<long long>(training_runs());
   Session session;
-  const std::vector<ScenarioResult> results =
-      sequential ? session.run_all(m.specs) : session.run_manifest(m);
+  const std::vector<ScenarioResult> results = session.run_all(m.specs);
   print_results(results);
   session.print_summary("qavat-sweep");
   print_provenance(m, 1, static_cast<long long>(training_runs()) - runs_before);
@@ -193,7 +191,7 @@ bool read_all(int fd, void* buf, size_t n) {
   return true;
 }
 
-// --workers K: fork K claim-aware workers over the (shared) store this
+// --workers K: fork K run_all workers over the (shared) store this
 // process inherited. Forked BEFORE any compute so no thread-pool
 // threads exist yet. Each worker reports its train-run delta plus the
 // [clean, mean, stddev] triple per spec in MANIFEST order; the parent
@@ -220,7 +218,7 @@ int run_workers(const SweepManifest& m, int workers) {
       ::close(fds[0]);
       const long long runs_before = static_cast<long long>(training_runs());
       Session session;
-      const std::vector<ScenarioResult> results = session.run_manifest(m);
+      const std::vector<ScenarioResult> results = session.run_all(m.specs);
       session.print_summary("qavat-sweep.worker");
       const long long runs =
           static_cast<long long>(training_runs()) - runs_before;
@@ -294,14 +292,17 @@ int cmd_run(int argc, char** argv) {
   if (argc < 3) return usage(argv[0]);
   const std::string path = argv[2];
   int workers = 1;
-  bool sequential = false;
   bool dry = false;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--workers" && i + 1 < argc) {
-      workers = std::atoi(argv[++i]);
-    } else if (arg == "--sequential") {
-      sequential = true;
+      if (!parse_positive_count(argv[++i], &workers)) {
+        std::fprintf(stderr,
+                     "qavat-sweep: --workers expects a positive integer, "
+                     "got '%s'\n",
+                     argv[i]);
+        return usage(argv[0]);
+      }
     } else if (arg == "--dry-run") {
       dry = true;
     } else {
@@ -316,7 +317,7 @@ int cmd_run(int argc, char** argv) {
     return 1;
   }
   if (dry) return dry_run(m);
-  if (sequential || workers <= 1) return run_single(m, sequential);
+  if (workers == 1) return run_single(m);
   return run_workers(m, workers);
 }
 
