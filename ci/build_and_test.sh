@@ -255,13 +255,13 @@ echo "concurrent sweep: OK (train_runs ${W1_RUNS}+${W2_RUNS} = ${REF_RUNS}," \
 # Manifest sweep gate: run_all's busy skip end-to-end through the
 # qavat-sweep CLI (DESIGN.md §15). Emit the Table-I grid as a manifest,
 # run it once in a single process on a fresh store as the reference,
-# then race two forked workers against a second cold store. The
-# workers' manifest-order stdout must be byte-identical to the
-# single-process reference, their summed train_runs must equal the
-# reference run's (exactly once per unit, fleet-wide), a dry-run after
-# must show every claim unit done, and the contended store must verify
-# clean.
-echo "== manifest sweep (qavat-sweep, table1, 2 workers vs 1 process) =="
+# then race two independent qavat-sweep processes against a second cold
+# store — the way a grid is shared across processes or hosts. Each
+# process's manifest-order stdout must be byte-identical to the
+# reference, their summed train_runs must equal the reference run's
+# (exactly once per unit, fleet-wide), a dry-run after must show every
+# claim unit done, and the contended store must verify clean.
+echo "== manifest sweep (2x qavat-sweep, table1, one cold store) =="
 MANIFEST_TMP="${STORE_TMP}/manifest"
 mkdir -p "${MANIFEST_TMP}"
 QAVAT_FAST=1 "${BUILD_DIR}/qavat-sweep" emit table1 \
@@ -269,23 +269,37 @@ QAVAT_FAST=1 "${BUILD_DIR}/qavat-sweep" emit table1 \
 QAVAT_FAST=1 QAVAT_STORE_DIR="${MANIFEST_TMP}/seq-store" \
   "${BUILD_DIR}/qavat-sweep" run "${MANIFEST_TMP}/table1.json" \
   > "${MANIFEST_TMP}/seq.out" 2> "${MANIFEST_TMP}/seq.err"
-QAVAT_FAST=1 QAVAT_STORE_DIR="${MANIFEST_TMP}/race-store" \
-  "${BUILD_DIR}/qavat-sweep" run "${MANIFEST_TMP}/table1.json" --workers 2 \
-  > "${MANIFEST_TMP}/race.out" 2> "${MANIFEST_TMP}/race.err"
-if ! cmp "${MANIFEST_TMP}/seq.out" "${MANIFEST_TMP}/race.out"; then
-  echo "manifest gate: 2-worker stdout differs from single-process" \
-       "reference" >&2
-  exit 1
-fi
+for w in 1 2; do
+  QAVAT_FAST=1 QAVAT_STORE_DIR="${MANIFEST_TMP}/race-store" \
+    "${BUILD_DIR}/qavat-sweep" run "${MANIFEST_TMP}/table1.json" \
+    > "${MANIFEST_TMP}/race.${w}.out" 2> "${MANIFEST_TMP}/race.${w}.err" &
+  RACE_PID[${w}]=$!
+done
+for w in 1 2; do
+  if ! wait "${RACE_PID[${w}]}"; then
+    echo "manifest gate: process ${w} failed:" >&2
+    cat "${MANIFEST_TMP}/race.${w}.err" >&2
+    exit 1
+  fi
+  if ! cmp "${MANIFEST_TMP}/seq.out" "${MANIFEST_TMP}/race.${w}.out"; then
+    echo "manifest gate: process ${w} stdout differs from the" \
+         "single-process reference" >&2
+    exit 1
+  fi
+done
 sweep_runs_of() {
   sed -n 's/.*\[qavat-sweep\].* train_runs=\([0-9]*\).*/\1/p' "$1" | tail -1
 }
 SEQ_RUNS="$(sweep_runs_of "${MANIFEST_TMP}/seq.err")"
-RACE_RUNS="$(sweep_runs_of "${MANIFEST_TMP}/race.err")"
-if [[ -z "${SEQ_RUNS}" || -z "${RACE_RUNS}" ||
-      "${SEQ_RUNS}" -ne "${RACE_RUNS}" ]]; then
-  echo "manifest gate: summed train_runs '${RACE_RUNS}' != single-process" \
-       "'${SEQ_RUNS}' - work was duplicated or lost" >&2
+R1_RUNS="$(sweep_runs_of "${MANIFEST_TMP}/race.1.err")"
+R2_RUNS="$(sweep_runs_of "${MANIFEST_TMP}/race.2.err")"
+if [[ -z "${SEQ_RUNS}" || -z "${R1_RUNS}" || -z "${R2_RUNS}" ]]; then
+  echo "manifest gate: missing train_runs= token in a provenance line" >&2
+  exit 1
+fi
+if [[ "$((R1_RUNS + R2_RUNS))" -ne "${SEQ_RUNS}" ]]; then
+  echo "manifest gate: train_runs ${R1_RUNS}+${R2_RUNS} != single-process" \
+       "${SEQ_RUNS} - work was duplicated or lost" >&2
   exit 1
 fi
 QAVAT_FAST=1 QAVAT_STORE_DIR="${MANIFEST_TMP}/race-store" \
@@ -296,8 +310,8 @@ if grep -v ' done ' "${MANIFEST_TMP}/dry.out"; then
   exit 1
 fi
 "${BUILD_DIR}/qavat-store" verify --root "${MANIFEST_TMP}/race-store"
-echo "manifest sweep: OK (train_runs ${RACE_RUNS} = ${SEQ_RUNS}," \
-     "manifest-order output byte-identical, all units done, store clean)"
+echo "manifest sweep: OK (train_runs ${R1_RUNS}+${R2_RUNS} = ${SEQ_RUNS}," \
+     "each process's output byte-identical, all units done, store clean)"
 
 # Fleet resume gate (DESIGN.md §16): an interrupted lifetime study must
 # resume from its persisted snapshots and reproduce the uninterrupted

@@ -81,15 +81,28 @@ bool SweepManifest::from_json(const std::string& text, SweepManifest* out,
 }
 
 bool SweepManifest::save(const std::string& path, std::string* error) const {
+  return write_spec_file(path, to_json() + "\n", error);
+}
+
+bool SweepManifest::load(const std::string& path, SweepManifest* out,
+                         std::string* error) {
+  std::string text;
+  if (!read_spec_file(path, &text, error)) return false;
+  std::string parse_err;
+  if (!from_json(text, out, &parse_err)) {
+    return fail(error, path + ": " + parse_err);
+  }
+  return true;
+}
+
+bool write_spec_file(const std::string& path, const std::string& text,
+                     std::string* error) {
   if (error != nullptr) error->clear();
-  // tmp + rename so a crashed emit never leaves a torn manifest where a
-  // scheduler might pick it up (same discipline as the artifact store).
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return fail(error, "cannot open '" + tmp + "' for write");
-  const std::string doc = to_json() + "\n";
   const bool wrote =
-      std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
   const bool closed = std::fclose(f) == 0;
   if (!wrote || !closed) {
     std::remove(tmp.c_str());
@@ -102,22 +115,19 @@ bool SweepManifest::save(const std::string& path, std::string* error) const {
   return true;
 }
 
-bool SweepManifest::load(const std::string& path, SweepManifest* out,
-                         std::string* error) {
+bool read_spec_file(const std::string& path, std::string* text,
+                    std::string* error) {
   if (error != nullptr) error->clear();
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return fail(error, "cannot open '" + path + "'");
-  std::string text;
+  std::string out;
   char buf[4096];
   std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
   const bool read_ok = std::ferror(f) == 0;
   std::fclose(f);
   if (!read_ok) return fail(error, "read of '" + path + "' failed");
-  std::string parse_err;
-  if (!from_json(text, out, &parse_err)) {
-    return fail(error, path + ": " + parse_err);
-  }
+  *text = std::move(out);
   return true;
 }
 

@@ -42,15 +42,27 @@ struct SweepManifest {
   static bool from_json(const std::string& text, SweepManifest* out,
                         std::string* error = nullptr);
 
-  /// Write to_json() to `path` (atomically via a temp file + rename).
+  /// Write to_json() to `path` (write_spec_file: temp file + rename).
   /// Returns false with *error (optional) set on I/O failure.
   bool save(const std::string& path, std::string* error = nullptr) const;
 
-  /// Read and parse a manifest file. Returns false with *error
-  /// (optional) naming the I/O or validation failure.
+  /// Read (read_spec_file) and parse a manifest file. Returns false
+  /// with *error (optional) naming the I/O or validation failure.
   static bool load(const std::string& path, SweepManifest* out,
                    std::string* error = nullptr);
 };
+
+/// Write `text` verbatim to `path` through a temp file + rename, so a
+/// crash never leaves a torn spec document where a reader might pick it
+/// up (the artifact store's discipline). Returns false with *error
+/// (optional) set on I/O failure; the temp file is removed.
+bool write_spec_file(const std::string& path, const std::string& text,
+                     std::string* error = nullptr);
+
+/// Read the whole file at `path` into *text. Returns false with *error
+/// (optional) naming the path on an open or read failure.
+bool read_spec_file(const std::string& path, std::string* text,
+                    std::string* error = nullptr);
 
 /// Split a manifest into `k` disjoint round-robin shards for hosts that
 /// do NOT share a store (the work-claim protocol needs a common
@@ -62,10 +74,11 @@ struct SweepManifest {
 /// k < 1 is clamped to 1 (one shard = a renamed copy).
 std::vector<SweepManifest> shard_manifest(const SweepManifest& m, int k);
 
-/// Strict parse of a sweep process or shard count (`--workers K`,
-/// `--shards K`): the whole of `text` must be decimal digits naming a
-/// value in [1, INT_MAX]. Returns false, leaving *out untouched, on
-/// anything else — "abc", "3x", "0", "-2", "+2", "" or an overflow.
+/// Strict parse of a shard or process count (`qavat-sweep emit
+/// --shards K`, `bench_sweep --workers K`): the whole of `text` must be
+/// decimal digits naming a value in [1, INT_MAX]. Returns false,
+/// leaving *out untouched, on anything else — "abc", "3x", "0", "-2",
+/// "+2", "" or an overflow.
 bool parse_positive_count(const char* text, int* out);
 
 /// Names of the built-in grid generators: the spec grids the stock

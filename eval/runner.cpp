@@ -21,15 +21,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// A unit another process is producing right now: no artifact yet and a
-// live lease on it. Advisory, for ordering local work only: the
-// work-claim protocol still arbitrates every producer, so a stale
-// answer costs a wait, never a double train.
-bool busy_elsewhere(const TrainUnit& unit) {
-  return !store_has("models", unit.key) &&
-         store_claim_busy("models", unit.key);
-}
-
 // The training plan of one spec (eval/experiment.h training_units).
 std::vector<TrainUnit> plan_of(const ScenarioSpec& spec,
                                const SplitDataset& data) {
@@ -52,6 +43,18 @@ struct LaneUnit {
 };
 
 }  // namespace
+
+ClaimState claim_state(const char* bucket, const std::string& key) {
+  if (store_has(bucket, key)) return ClaimState::kDone;
+  return store_claim_busy(bucket, key) ? ClaimState::kBusy
+                                       : ClaimState::kReady;
+}
+
+const char* claim_state_name(ClaimState state) {
+  return state == ClaimState::kDone   ? "done"
+         : state == ClaimState::kBusy ? "busy"
+                                      : "ready";
+}
 
 const SplitDataset& Session::dataset(ModelKind kind) {
   auto it = datasets_.find(kind);
@@ -195,7 +198,7 @@ std::vector<ScenarioResult> Session::run_all(
             units[c.pretrain].state != LaneUnit::kDone) {
           continue;
         }
-        if (!busy_elsewhere(c.unit)) {
+        if (claim_state("models", c.unit.key) != ClaimState::kBusy) {
           pick = &c;
           break;
         }

@@ -57,6 +57,22 @@ struct ClaimUnitRef {
   std::string key;     ///< canonical artifact key within the bucket
 };
 
+/// Where a claim unit stands in the store right now. Advisory: the
+/// work-claim protocol still arbitrates every producer, so a stale
+/// answer costs a wait, never a second production.
+enum class ClaimState {
+  kDone,   ///< artifact published
+  kBusy,   ///< no artifact yet; another process holds a live lease
+  kReady,  ///< no artifact and no live lease: free to claim
+};
+
+/// Classify the unit (bucket, key) — the one probe behind run_all's busy
+/// skip and both CLIs' --dry-run.
+ClaimState claim_state(const char* bucket, const std::string& key);
+
+/// "done", "busy" or "ready": the state token --dry-run prints.
+const char* claim_state_name(ClaimState state);
+
 /// Executes ScenarioSpecs against process-wide caches and the artifact
 /// store, memoizing datasets per model kind and aggregating provenance
 /// counters across every run() — one Session per bench binary.
@@ -66,7 +82,7 @@ class Session {
   ScenarioResult run(const ScenarioSpec& spec);
 
   /// Batch execution on training lanes, the one batch scheduler (benches,
-  /// qavat-sweep and its forked workers all call it): results return in
+  /// qavat-sweep and bench_sweep's workers all call it): results return in
   /// spec order and carry the same numbers and per-spec provenance a
   /// sequential run() loop would produce.
   ///  * Train: the specs' training units (eval/experiment.h

@@ -7,7 +7,7 @@
 // Also covers the SweepManifest document built on top (lossless
 // round-trip, per-entry validation with "specs[i]: ..." attribution).
 // Runs with QAVAT_STORE=0; nothing here trains or touches disk except
-// the manifest save/load round-trip (a private temp file).
+// the manifest save/load and spec-file round trips (private temp files).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -333,8 +333,9 @@ void test_manifest_sharding() {
   CHECK(one[0].specs.size() == m.specs.size());
 }
 
-// The --workers/--shards parser takes whole positive decimal integers
-// only; a rejected value leaves the target untouched.
+// The count parser behind `qavat-sweep emit --shards K` and
+// `bench_sweep --workers K` takes whole positive decimal integers only;
+// a rejected value leaves the target untouched.
 void test_parse_positive_count() {
   int n = 0;
   CHECK(parse_positive_count("1", &n) && n == 1);
@@ -417,6 +418,34 @@ void test_manifest_rejection() {
   }
 }
 
+// The one spec-file writer/reader pair (manifests and fleet study specs):
+// a byte-exact round trip that overwrites rather than appends and
+// leaves no temp file behind, and clean failures on unreadable or
+// unwritable paths.
+void test_spec_file_io() {
+  const std::string path =
+      "test_scenario_json.spec." + std::to_string(::getpid()) + ".json";
+  const std::string doc = "{\"a\":1,\n\"b\":[2,3]}\n";
+  std::string err, text;
+  CHECK(write_spec_file(path, doc + doc, &err));
+  CHECK(write_spec_file(path, doc, &err));
+  CHECK(read_spec_file(path, &text, &err));
+  CHECK(text == doc);
+  CHECK(err.empty());
+  CHECK(!read_spec_file(path + ".tmp", &text, &err));  // renamed away
+  std::remove(path.c_str());
+
+  const std::string missing = "no_such_dir." + path + "/spec.json";
+  text = "untouched";
+  CHECK(!read_spec_file(missing, &text, &err));
+  CHECK(err.find(missing) != std::string::npos);
+  CHECK(text == "untouched");
+  err.clear();
+  CHECK(!write_spec_file(missing, doc, &err));
+  CHECK(!err.empty());
+  CHECK(!read_spec_file(missing, &text, &err));
+}
+
 }  // namespace
 
 int main() {
@@ -426,5 +455,6 @@ int main() {
   test_manifest_sharding();
   test_parse_positive_count();
   test_manifest_rejection();
+  test_spec_file_io();
   return qavat::test::finish("test_scenario_json");
 }

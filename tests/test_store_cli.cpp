@@ -3,8 +3,9 @@
 // operator tooling too. Drives the real binary (path in argv[1])
 // end-to-end against a private store this test populates through the
 // library: inspect, verify on a clean store, corruption detection +
-// --quarantine healing, gc of backdated tmp/claim litter, and age-based
-// eviction — asserting exit codes at every step.
+// --quarantine healing, gc of backdated tmp/claim litter, age-based
+// eviction and rejection of malformed ages — asserting exit codes at
+// every step.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -132,6 +133,21 @@ int main(int argc, char** argv) {
   CHECK(artifact_files().size() == 1);
   CHECK(store_has("results", "cli_smoke_fresh"));
   CHECK(cli("verify") == 0);
+
+  // A malformed age is a usage error (exit 2) that touches nothing: a
+  // lenient parse would read it as 0 and evict every artifact, or gc a
+  // live lease out from under its producer.
+  const std::vector<fs::path> kept = artifact_files();
+  const fs::path live_claim = kept[0].string() + ".claim";
+  std::ofstream(live_claim) << "pid=1 host=live";
+  for (const char* bad :
+       {"evict --older-than abc", "evict --older-than -1",
+        "evict --older-than 5x", "gc --min-age abc"}) {
+    CHECK(cli(bad) == 2);
+    CHECK(artifact_files() == kept);
+    CHECK(fs::exists(live_claim, ec));
+  }
+  fs::remove(live_claim, ec);
 
   // Bad usage exits nonzero.
   CHECK(cli("evict") != 0);

@@ -25,15 +25,12 @@
 //   [qavat-fleet] key=<key> resumed_from=<t> published=<n> loaded=<0|1>
 //   trained=<0|1>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "eval/fleet.h"
-#include "eval/store.h"
+#include "eval/manifest.h"
 
 using namespace qavat;
 
@@ -78,10 +75,9 @@ int cmd_emit(int argc, char** argv) {
     std::printf("%s\n", json.c_str());
     return 0;
   }
-  std::ofstream os(out_path, std::ios::binary | std::ios::trunc);
-  os << json << '\n';
-  if (!os.good()) {
-    std::fprintf(stderr, "qavat-fleet: cannot write %s\n", out_path);
+  std::string err;
+  if (!write_spec_file(out_path, json + "\n", &err)) {
+    std::fprintf(stderr, "qavat-fleet: %s\n", err.c_str());
     return 1;
   }
   return 0;
@@ -93,9 +89,7 @@ int dry_run(const FleetStudySpec& spec) {
   const std::vector<ClaimUnitRef> units = fleet.claim_units(spec);
   for (std::size_t i = 0; i < units.size(); ++i) {
     const ClaimUnitRef& u = units[i];
-    const char* state = store_has(u.bucket, u.key)          ? "done"
-                        : store_claim_busy(u.bucket, u.key) ? "busy"
-                                                            : "ready";
+    const char* state = claim_state_name(claim_state(u.bucket, u.key));
     std::printf("unit %zu %s %s/%s\n", i, state, u.bucket, u.key.c_str());
   }
   return 0;
@@ -134,16 +128,13 @@ int cmd_run(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) {
-    std::fprintf(stderr, "qavat-fleet: cannot read %s\n", path.c_str());
+  std::string text, err;
+  if (!read_spec_file(path, &text, &err)) {
+    std::fprintf(stderr, "qavat-fleet: %s\n", err.c_str());
     return 1;
   }
-  std::ostringstream buf;
-  buf << is.rdbuf();
   FleetStudySpec spec;
-  std::string err;
-  if (!FleetStudySpec::from_json(buf.str(), &spec, &err)) {
+  if (!FleetStudySpec::from_json(text, &spec, &err)) {
     std::fprintf(stderr, "qavat-fleet: %s: %s\n", path.c_str(), err.c_str());
     return 1;
   }
