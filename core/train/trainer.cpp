@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 
 #include "tensor/parallel_for.h"
@@ -69,23 +70,46 @@ void clear_noise(const std::vector<QuantLayerBase*>& qlayers) {
 
 }  // namespace
 
+void score_chips(Module& model, const Dataset& test,
+                 const std::vector<index_t>& rows, index_t chunk, index_t nb,
+                 index_t* hits) {
+  const index_t n = static_cast<index_t>(rows.size());
+  // Chunk-loop scratch, reused by every chunk of the call.
+  std::vector<index_t> idx, idx_tiled;
+  Tensor block;
+  for (index_t start = 0; start < n; start += chunk) {
+    const index_t end = std::min(n, start + chunk);
+    const index_t m = end - start;
+    idx.assign(rows.begin() + start, rows.begin() + end);
+    idx_tiled.clear();
+    idx_tiled.reserve(static_cast<std::size_t>(nb * m));
+    for (index_t b = 0; b < nb; ++b) {
+      idx_tiled.insert(idx_tiled.end(), idx.begin(), idx.end());
+    }
+    const Tensor logits = model.forward(test.gather_images(idx_tiled));
+    const std::vector<index_t> y = test.gather_labels(idx);
+    const index_t classes = logits.dim(1);  // logits: {nb*m, classes}
+    block.resize_for_overwrite({m, classes});
+    for (index_t b = 0; b < nb; ++b) {
+      std::memcpy(block.data(), logits.data() + b * m * classes,
+                  static_cast<std::size_t>(m * classes) * sizeof(float));
+      index_t h = 0;
+      softmax_xent(block, y, nullptr, &h);
+      hits[b] += h;
+    }
+  }
+}
+
 double evaluate_clean(Module& model, const Dataset& test, index_t max_samples) {
   model.set_training(false);
   for (QuantLayerBase* q : model.quant_layers()) q->noise_state().clear();
   const index_t n =
       max_samples < 0 ? test.size() : std::min(test.size(), max_samples);
   if (n <= 0) return 0.0;
+  std::vector<index_t> rows(static_cast<std::size_t>(n));
+  std::iota(rows.begin(), rows.end(), 0);
   index_t correct = 0;
-  const index_t batch = 64;
-  for (index_t start = 0; start < n; start += batch) {
-    const index_t end = std::min(n, start + batch);
-    std::vector<index_t> idx(static_cast<std::size_t>(end - start));
-    std::iota(idx.begin(), idx.end(), start);
-    Tensor logits = model.forward(test.gather_images(idx));
-    index_t hits = 0;
-    softmax_xent(logits, test.gather_labels(idx), nullptr, &hits);
-    correct += hits;
-  }
+  score_chips(model, test, rows, 64, 1, &correct);
   return static_cast<double>(correct) / static_cast<double>(n);
 }
 

@@ -45,7 +45,21 @@ struct TrainResult {
 TrainResult train(Module& model, const Dataset& data, TrainAlgo algo,
                   const TrainConfig& cfg);
 
-/// Noise-free accuracy on up to max_samples images (-1 = all). Declared at
+/// Chip-major scorer: adds to hits[b] the correct predictions of the
+/// chip in noise slot b (b < nb; nb == 1 for one chip or a clean model)
+/// on test rows `rows`. Each chunk of `chunk` rows is tiled chip-major
+/// into one noise-batched forward, so chip b's logits equal a one-chip
+/// forward. The chunk never changes a hit — every per-row computation is
+/// independent of how many rows share a forward — but it sets speed
+/// (larger tiles thrash the cache on un-pooled CNN activations), so each
+/// caller keeps its own: the evaluator lane_rows / nb, a fleet step
+/// batch_size / chip_batch, evaluate_clean 64.
+void score_chips(Module& model, const Dataset& test,
+                 const std::vector<index_t>& rows, index_t chunk, index_t nb,
+                 index_t* hits);
+
+/// Noise-free accuracy on up to max_samples images (-1 = all): the
+/// model, noise cleared, scored as one chip by score_chips. Declared at
 /// this layer because training reports test accuracy; the Monte-Carlo
 /// deployment evaluators live in eval/evaluator.h.
 double evaluate_clean(Module& model, const Dataset& test,

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <numeric>
 
 #include "core/quant/int8_backend.h"
 #include "pim/tiling.h"
@@ -31,90 +32,54 @@ Stats Stats::from(const std::vector<double>& xs) {
   return s;
 }
 
-namespace {
-
-// Draw chip `chip`'s full noise realization into slot `slot` of every
-// layer's batched state. The RNG is seeded explicitly from the chip index
-// — Rng(seed, chip) — in the draw order chip eps_B, GTM measurement, then
-// per layer: within-chip field, layer eps_B, LTM error; so a chip's
-// realization never depends on its group or slot.
-// Slot-pure: touches only slot `slot`'s disjoint storage (the eps slice
-// and the eps_b/eps_hat/ltm_err vector entries) — the NoiseState-wide
-// fields are written once per group by prepare_noise_group — so the
-// chips of a group can be sampled from a parallel_for.
-void sample_chip_into_slot(std::vector<QuantLayerBase*>& qlayers,
-                           const VariabilityConfig& vcfg, const EvalConfig& ecfg,
-                           const SelfTuneConfig* st, index_t chip, index_t slot) {
-  Rng rng(ecfg.seed, static_cast<std::uint64_t>(chip));
-  const double eps_b = vcfg.sigma_b > 0.0 ? rng.normal(0.0, vcfg.sigma_b) : 0.0;
+void sample_chip_group(const std::vector<QuantLayerBase*>& qlayers,
+                       const VariabilityConfig& vcfg, std::uint64_t seed,
+                       const SelfTuneConfig* st, index_t chip0, index_t nb,
+                       bool activate, CorrectionKind correction) {
+  prepare_noise_group(qlayers, nb, vcfg.model, activate, correction);
   const bool tune = st != nullptr && st->mode != SelfTuneMode::kNone;
-  const double eps_hat =
-      tune ? measure_eps_b(eps_b, vcfg.sigma_w, st->gtm_cells, rng) : 0.0;
-  const auto s = static_cast<std::size_t>(slot);
-  for (QuantLayerBase* q : qlayers) {
-    sample_variability_slot_draws(*q, vcfg, rng, slot);
-    NoiseState& ns = q->noise_state();
-    ns.eps_b[s] = static_cast<float>(eps_b);
-    if (tune) {
-      ns.eps_hat[s] = static_cast<float>(eps_hat);
-      ns.ltm_err[s] = static_cast<float>(
-          ltm_readout_error(vcfg.sigma_w, st->ltm_columns, rng));
+  // Slot-pure after the prologue: chip chip0 + s writes only slot s's eps
+  // slice and eps_b/eps_hat/ltm_err entries, so the slots fill
+  // concurrently (a pool job nested under the caller's lane).
+  parallel_for(index_t{0}, nb, index_t{1}, [&](index_t s0, index_t s1) {
+    for (index_t slot = s0; slot < s1; ++slot) {
+      Rng rng(seed, static_cast<std::uint64_t>(chip0 + slot));
+      const double eps_b =
+          vcfg.sigma_b > 0.0 ? rng.normal(0.0, vcfg.sigma_b) : 0.0;
+      const double eps_hat =
+          tune ? measure_eps_b(eps_b, vcfg.sigma_w, st->gtm_cells, rng) : 0.0;
+      const auto s = static_cast<std::size_t>(slot);
+      for (QuantLayerBase* q : qlayers) {
+        sample_variability_slot_draws(*q, vcfg, rng, slot);
+        NoiseState& ns = q->noise_state();
+        ns.eps_b[s] = static_cast<float>(eps_b);
+        if (tune) {
+          ns.eps_hat[s] = static_cast<float>(eps_hat);
+          ns.ltm_err[s] = static_cast<float>(
+              ltm_readout_error(vcfg.sigma_w, st->ltm_columns, rng));
+        }
+      }
     }
-  }
+  });
 }
 
-// Accuracy of the `nb` chips realized in `model`'s noise slots (nb == 1:
-// a one-chip group or an installed circuit backend), in one
-// pass: every test chunk is tiled chip-major to {nb*rows, ...} and sent
-// through a single noise-batched forward, so each chip's logits are
-// bit-identical to a one-chip forward. The chunk is
-// lane_rows / nb test rows, keeping the tiled forward the size of one
-// lane's share of batch_size — larger tiles thrash the cache on the
-// un-pooled CNN activations and erase the batching win. The chunking does
-// not affect results: every per-row computation (quantize, im2col, GEMM
-// row bands anchored at each chip's row 0, pooling, softmax argmax) is
-// independent of how many rows share a forward.
-void accuracy_batched(Module& model, const Dataset& test, const EvalConfig& ecfg,
-                      index_t lane_rows, index_t nb, double* out_accs) {
-  const index_t n = std::min<index_t>(test.size(), ecfg.max_test_samples);
-  if (n <= 0) {
-    for (index_t b = 0; b < nb; ++b) out_accs[b] = 0.0;
-    return;
-  }
-  const index_t chunk = std::max<index_t>(1, lane_rows / nb);
-  std::vector<index_t> correct(static_cast<std::size_t>(nb), 0);
-  // Chunk-loop scratch hoisted out of the loop: every chunk of a group
-  // (and every group of a run) reuses the same buffers.
-  std::vector<index_t> idx, idx_tiled;
-  Tensor block;
-  for (index_t start = 0; start < n; start += chunk) {
-    const index_t end = std::min(n, start + chunk);
-    const index_t rows = end - start;
-    idx.resize(static_cast<std::size_t>(rows));
-    for (index_t i = 0; i < rows; ++i) idx[static_cast<std::size_t>(i)] = start + i;
-    idx_tiled.clear();
-    idx_tiled.reserve(static_cast<std::size_t>(nb * rows));
-    for (index_t b = 0; b < nb; ++b) {
-      idx_tiled.insert(idx_tiled.end(), idx.begin(), idx.end());
+ChipLanes::ChipLanes(const Module& model, index_t n_chips)
+    : model_(model),
+      n_chips_(n_chips),
+      replicas_(static_cast<std::size_t>(std::min(num_threads(), n_chips))) {}
+
+void ChipLanes::run(const std::function<void(Module&, index_t, index_t)>& fn) {
+  const index_t lanes = size();
+  parallel_for(index_t{0}, lanes, index_t{1}, [&](index_t l0, index_t l1) {
+    for (index_t l = l0; l < l1; ++l) {
+      std::unique_ptr<Module>& replica = replicas_[static_cast<std::size_t>(l)];
+      if (!replica) replica = clone_model(model_);
+      fn(*replica, l * n_chips_ / lanes, (l + 1) * n_chips_ / lanes);
     }
-    Tensor x = test.gather_images(idx_tiled);
-    const std::vector<index_t> y = test.gather_labels(idx);
-    Tensor logits = model.forward(x);  // {nb*rows, classes}
-    const index_t classes = logits.dim(1);
-    block.resize_for_overwrite({rows, classes});
-    for (index_t b = 0; b < nb; ++b) {
-      std::memcpy(block.data(), logits.data() + b * rows * classes,
-                  static_cast<std::size_t>(rows * classes) * sizeof(float));
-      index_t hits = 0;
-      softmax_xent(block, y, nullptr, &hits);
-      correct[static_cast<std::size_t>(b)] += hits;
-    }
-  }
-  for (index_t b = 0; b < nb; ++b) {
-    out_accs[b] = static_cast<double>(correct[static_cast<std::size_t>(b)]) /
-                  static_cast<double>(n);
-  }
+  });
 }
+
+namespace {
 
 constexpr index_t kDefaultChipBatch = 8;
 
@@ -129,10 +94,11 @@ constexpr index_t kDefaultChipBatch = 8;
 // lane (programming per chip dominates, so the noise-batch axis would
 // not pay); lanes program their chips concurrently.
 void evaluate_circuit_lane(Module& replica, const Dataset& test,
+                           const std::vector<index_t>& rows,
                            const VariabilityConfig& vcfg,
                            const EvalConfig& ecfg, const SelfTuneConfig* st,
                            index_t c0, index_t c1, index_t lane_rows,
-                           double* accs) {
+                           index_t* hits) {
   auto qlayers = replica.quant_layers();
   const index_t tile =
       ecfg.tile_size > 0 ? ecfg.tile_size : tile_size_from_env();
@@ -216,19 +182,22 @@ void evaluate_circuit_lane(Module& replica, const Dataset& test,
         ++ns.revision;
       }
     }
-    accuracy_batched(replica, test, ecfg, lane_rows, 1, accs + (chip_idx - c0));
+    score_chips(replica, test, rows, std::max<index_t>(1, lane_rows), 1,
+                hits + chip_idx);
   }
 }
 
 // Weight-domain (and int8) lane: chips [c0, c1) in groups of chip_batch
 // (the last group may be smaller), one noise-batched forward per test
-// chunk per group.
+// chunk per group, each chunk lane_rows / nb test rows so the tiled
+// forward stays the size of one lane's share of batch_size.
 void evaluate_weight_domain_lane(Module& replica, const Dataset& test,
+                                 const std::vector<index_t>& rows,
                                  const VariabilityConfig& vcfg,
                                  const EvalConfig& ecfg,
                                  const SelfTuneConfig* st, index_t chip_batch,
                                  index_t c0, index_t c1, index_t lane_rows,
-                                 double* accs) {
+                                 index_t* hits) {
   auto qlayers = replica.quant_layers();
   // Destroyed on return, before the replica whose layers point at them.
   std::vector<std::unique_ptr<Int8Backend>> int8_backends;
@@ -250,17 +219,10 @@ void evaluate_weight_domain_lane(Module& replica, const Dataset& test,
       tune ? correction_for(st->mode) : CorrectionKind::kNone;
   for (index_t chip0 = c0; chip0 < c1; chip0 += chip_batch) {
     const index_t nb = std::min(chip_batch, c1 - chip0);
-    prepare_noise_group(qlayers, nb, vcfg.model, vcfg.enabled(), correction);
-    // Chips draw from independent streams — Rng(seed, chip) — and
-    // sample_chip_into_slot is slot-pure after the prologue, so the
-    // group's chips sample in parallel (a pool job nested under the
-    // lane, like the GEMM dispatches of the batched forward that follows).
-    parallel_for(index_t{0}, nb, index_t{1}, [&](index_t b0, index_t b1) {
-      for (index_t b = b0; b < b1; ++b) {
-        sample_chip_into_slot(qlayers, vcfg, ecfg, st, chip0 + b, b);
-      }
-    });
-    accuracy_batched(replica, test, ecfg, lane_rows, nb, accs + (chip0 - c0));
+    sample_chip_group(qlayers, vcfg, ecfg.seed, st, chip0, nb, vcfg.enabled(),
+                      correction);
+    score_chips(replica, test, rows, std::max<index_t>(1, lane_rows / nb), nb,
+                hits + chip0);
   }
 }
 
@@ -315,38 +277,41 @@ EvalStats evaluate_under_variability(Module& model, const Dataset& test,
                                      const VariabilityConfig& vcfg,
                                      const EvalConfig& ecfg,
                                      const SelfTuneConfig* st) {
-  // Chip lanes: [0, n_chips) splits into `lanes` contiguous ranges, one
-  // outer pool span each, and every lane drives its own clone of the
-  // caller's model (own NoiseState, Workspace and backends), so the
-  // caller's model is only read. Chip c's realization depends on c alone
-  // (Rng(seed, c) / PimChip(seed, c)), never on its lane or group, so the
-  // per-chip accuracies are bit-identical for any thread count. Each lane
-  // forwards batch_size / lanes test rows at a time, keeping the live
-  // activation rows across lanes at batch_size.
+  // Chip c's realization depends on c alone (Rng(seed, c) /
+  // PimChip(seed, c)), never on its lane or group, so the per-chip
+  // accuracies are bit-identical for any thread count. Each lane forwards
+  // batch_size / lanes test rows at a time, keeping the live activation
+  // rows across lanes at batch_size.
   const index_t n_chips = std::max<index_t>(0, ecfg.n_chips);
-  const index_t lanes = std::min(num_threads(), n_chips);
-  const index_t lane_rows = ecfg.batch_size / std::max<index_t>(1, lanes);
+  ChipLanes lanes(model, n_chips);
+  const index_t lane_rows =
+      ecfg.batch_size / std::max<index_t>(1, lanes.size());
   index_t chip_batch = ecfg.chip_batch > 0 ? ecfg.chip_batch : kDefaultChipBatch;
   chip_batch = std::max<index_t>(1, std::min(chip_batch, n_chips));
-  std::vector<double> accs(static_cast<std::size_t>(n_chips), 0.0);
-  parallel_for(index_t{0}, lanes, index_t{1}, [&](index_t l0, index_t l1) {
-    for (index_t l = l0; l < l1; ++l) {
-      const index_t c0 = l * n_chips / lanes;
-      const index_t c1 = (l + 1) * n_chips / lanes;
-      const std::unique_ptr<Module> replica = clone_model(model);
-      if (ecfg.backend == EvalBackend::kCircuit) {
-        evaluate_circuit_lane(*replica, test, vcfg, ecfg, st, c0, c1,
-                              lane_rows, accs.data() + c0);
-      } else {
-        evaluate_weight_domain_lane(*replica, test, vcfg, ecfg, st, chip_batch,
-                                    c0, c1, lane_rows, accs.data() + c0);
-      }
+  const index_t n = std::max<index_t>(
+      0, std::min<index_t>(test.size(), ecfg.max_test_samples));
+  std::vector<index_t> rows(static_cast<std::size_t>(n));
+  std::iota(rows.begin(), rows.end(), 0);
+  std::vector<index_t> hits(static_cast<std::size_t>(n_chips), 0);
+  lanes.run([&](Module& replica, index_t c0, index_t c1) {
+    if (ecfg.backend == EvalBackend::kCircuit) {
+      evaluate_circuit_lane(replica, test, rows, vcfg, ecfg, st, c0, c1,
+                            lane_rows, hits.data());
+    } else {
+      evaluate_weight_domain_lane(replica, test, rows, vcfg, ecfg, st,
+                                  chip_batch, c0, c1, lane_rows, hits.data());
     }
   });
   EvalStats stats;
-  stats.accuracy = Stats::from(accs);
-  stats.n_chips = ecfg.n_chips;
-  stats.per_chip_acc = std::move(accs);
+  stats.per_chip_acc.resize(hits.size(), 0.0);
+  if (n > 0) {
+    for (std::size_t c = 0; c < hits.size(); ++c) {
+      stats.per_chip_acc[c] =
+          static_cast<double>(hits[c]) / static_cast<double>(n);
+    }
+  }
+  stats.accuracy = Stats::from(stats.per_chip_acc);
+  stats.n_chips = n_chips;
   return stats;
 }
 

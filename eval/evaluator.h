@@ -12,28 +12,27 @@
 //    error and LTM readout error included). Returns accuracy stats across
 //    chips.
 //
-//    Chips are evaluated `chip_batch` at a time through one noise-batched
-//    forward per test batch (the effective weights carry a per-chip axis;
-//    see NoiseState). Determinism contract: chip c's realization is drawn
-//    from Rng(seed, c) — explicit in the chip index, never in evaluation
-//    order — so every chip_batch (including 1, one chip per forward)
-//    produces bit-identical per-chip accuracies. The circuit backend
-//    shares the same Rng(seed, c) chip identity, so both backends see
-//    the same per-chip eps_B realizations.
+//    Determinism contract: chip c's realization is drawn from
+//    Rng(seed, c) — explicit in the chip index, never in evaluation
+//    order — and the circuit backend's PimChip(seed, c) shares that
+//    identity, so per-chip accuracies are bit-identical for every thread
+//    count and chip_batch, and both backends see the same per-chip eps_B.
 //
-//    Chip lanes: the chips split into min(num_threads(), n_chips)
-//    contiguous ranges run as one outer parallel_for, one lane per pool
-//    thread. Each lane evaluates its range on its own clone_model replica
-//    (own NoiseState, Workspace and int8/crossbar backends) and writes
-//    its slice of per_chip_acc; the kernels of its forwards nest under
-//    the lane as pool sub-jobs. Since a chip's realization depends only
-//    on its index, per-chip accuracies are bit-identical for every thread
-//    count, chip_batch and backend.
+// The chip-lane engine, shared with the fleet's lifetime steps
+// (eval/fleet.h): ChipLanes splits the chips into one contiguous range
+// per pool thread, each on its own clone_model replica; within a lane,
+// sample_chip_group realizes `chip_batch` chips in the noise slots and
+// score_chips (core/train/trainer.h) scores them through one chip-major
+// noise-batched forward per test chunk.
 //
 // Thread-safety: evaluate_under_variability only reads the caller's
 // model — every lane drives its own clone — so the model must not be
 // mutated (trained, re-scaled) by another thread during the call.
 #pragma once
+
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include "core/models/models.h"
 #include "core/selftune/selftune.h"
@@ -124,6 +123,38 @@ struct EvalConfig {
   EvalBackend backend = EvalBackend::kWeightDomain;  ///< chip realization
   index_t tile_size = 0;   ///< circuit backend: max crossbar side length;
                            ///< 0 = QAVAT_TILE_SIZE (default 512)
+};
+
+/// The chip-group sampler: prepare_noise_group for `nb` chips, then chips
+/// [chip0, chip0 + nb) into slots 0..nb-1 from a nested parallel_for.
+/// Chip c draws from Rng(seed, c): chip eps_B, GTM measurement, then per
+/// layer the within-chip field, layer eps_B and LTM error; sigma_b == 0
+/// and no tuning (st null or kNone) draw nothing. So a chip's realization
+/// never depends on its group or slot.
+void sample_chip_group(const std::vector<QuantLayerBase*>& qlayers,
+                       const VariabilityConfig& vcfg, std::uint64_t seed,
+                       const SelfTuneConfig* st, index_t chip0, index_t nb,
+                       bool activate, CorrectionKind correction);
+
+/// The chip-lane split: L = min(num_threads(), n_chips) lanes, lane l
+/// owning chips [l*n/L, (l+1)*n/L) on its own clone_model replica (own
+/// NoiseState, Workspace and backends), so `model`, which must outlive
+/// the lanes, is only read. Each lane clones its replica on the first
+/// run() and reuses it after.
+class ChipLanes {
+ public:
+  ChipLanes(const Module& model, index_t n_chips);
+
+  index_t size() const { return static_cast<index_t>(replicas_.size()); }
+
+  /// fn(replica, c0, c1) for every lane, as one outer parallel_for; the
+  /// lane's own dispatches nest under it.
+  void run(const std::function<void(Module&, index_t, index_t)>& fn);
+
+ private:
+  const Module& model_;
+  index_t n_chips_;
+  std::vector<std::unique_ptr<Module>> replicas_;
 };
 
 /// Monte-Carlo deployment accuracy of `model` under `vcfg` variability,

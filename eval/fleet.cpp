@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 
 #include "eval/store.h"
@@ -60,11 +57,6 @@ double quantile_sorted(const std::vector<double>& xs, double q) {
   const std::size_t hi = std::min(lo + 1, xs.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return xs[lo] + (xs[hi] - xs[lo]) * frac;
-}
-
-bool fleet_progress_enabled() {
-  const char* v = std::getenv("QAVAT_FLEET_PROGRESS");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
 }  // namespace
@@ -313,20 +305,11 @@ FleetRunResult FleetEvaluator::run(const FleetStudySpec& spec) {
       std::max<index_t>(1, std::min(chip_batch_from_env(), lt.n_chips));
   const index_t n_test = test.size();
   const index_t rows_per_step = std::min(lt.batch_size, n_test);
-  // Same memory discipline as accuracy_batched: the chip-major tiled
-  // forward stays the size of one sequential batch.
+  // A step's chip-major tiled forward stays the size of one batch.
   const index_t chunk = std::max<index_t>(1, lt.batch_size / chip_batch);
-  const bool progress = fleet_progress_enabled();
-
-  // Chip lanes: [0, n_chips) splits into `lanes` contiguous ranges, the
-  // same split evaluate_under_variability uses, and each lane steps its
-  // chips on its own clone of the trained model (own NoiseState and
-  // Workspace), so the session's model is only read. Lanes are cloned
-  // once per run and reused by every window.
-  const index_t lanes = std::min(num_threads(), lt.n_chips);
-  std::vector<std::unique_ptr<Module>> replicas;
-  replicas.reserve(static_cast<std::size_t>(lanes));
-  for (index_t l = 0; l < lanes; ++l) replicas.push_back(clone_model(model));
+  // The evaluator's chip lanes, built once per run and reused by every
+  // window.
+  ChipLanes lanes(model, lt.n_chips);
 
   // Per-chip window accumulators. A lane writes only its own chips'
   // entries; hits are integers and the stale sums are accumulated per
@@ -342,102 +325,57 @@ FleetRunResult FleetEvaluator::run(const FleetStudySpec& spec) {
     const index_t t_last = (w + 1) * ck;
     std::fill(win_hits.begin(), win_hits.end(), index_t{0});
     std::fill(win_stale.begin(), win_stale.end(), 0.0);
-    // One outer pool span per lane; the group loop's own dispatches and
-    // the forward's kernels nest under it (DESIGN.md §13).
-    parallel_for(index_t{0}, lanes, index_t{1}, [&](index_t l0, index_t l1) {
-      for (index_t l = l0; l < l1; ++l) {
-        const index_t c0 = l * lt.n_chips / lanes;
-        const index_t c1 = (l + 1) * lt.n_chips / lanes;
-        Module& replica = *replicas[static_cast<std::size_t>(l)];
-        std::vector<QuantLayerBase*> qlayers = replica.quant_layers();
-        std::vector<index_t> idx_tiled, step_idx;
-        Tensor block;
-        for (index_t chip0 = c0; chip0 < c1; chip0 += chip_batch) {
-          const index_t nb = std::min(chip_batch, c1 - chip0);
-          // Unlike the Monte-Carlo evaluator the state is ALWAYS active:
-          // a pure-drift deployment (sigma_w == 0) still carries the
-          // drifting eps_B through the (zeroed) eps planes. The prologue
-          // also zeroes ltm_err, which the fleet never models.
-          prepare_noise_group(qlayers, nb, within.model, true, correction);
-          // Static within-chip field: re-drawn identically for this
-          // group every window from the chip-indexed stream
-          // Rng(seed, chip).
+    lanes.run([&](Module& replica, index_t c0, index_t c1) {
+      const std::vector<QuantLayerBase*> qlayers = replica.quant_layers();
+      std::vector<index_t> step_rows(static_cast<std::size_t>(rows_per_step));
+      for (index_t chip0 = c0; chip0 < c1; chip0 += chip_batch) {
+        const index_t nb = std::min(chip_batch, c1 - chip0);
+        // Unlike the Monte-Carlo evaluator the state is ALWAYS active: a
+        // pure-drift deployment (sigma_w == 0) still carries the drifting
+        // eps_B through the (zeroed) eps planes. The static within-chip
+        // field is re-drawn identically for this group every window; the
+        // prologue zeroes ltm_err, which the fleet never models.
+        sample_chip_group(qlayers, within, lt.seed, nullptr, chip0, nb, true,
+                          correction);
+        for (index_t t = t_first; t <= t_last; ++t) {
+          // Advance + re-tune the group's chips: pure per-chip functions
+          // of (stored state, counter stream), so any partition works.
           parallel_for(index_t{0}, nb, index_t{1}, [&](index_t b0, index_t b1) {
             for (index_t b = b0; b < b1; ++b) {
-              Rng rng(lt.seed, static_cast<std::uint64_t>(chip0 + b));
-              for (QuantLayerBase* q : qlayers) {
-                sample_variability_slot_draws(*q, within, rng, b);
-              }
+              ChipLifetimeState& st = chips[static_cast<std::size_t>(chip0 + b)];
+              Rng rng = LifetimeModel::step_rng(lt, chip0 + b, t);
+              lm.advance(&st, rng);
+              lm.maybe_retune(&st, t, rng);
             }
           });
-          for (index_t t = t_first; t <= t_last; ++t) {
-            // Advance + re-tune the group's chips: pure per-chip
-            // functions of (stored state, counter stream), so any
-            // partition works.
-            parallel_for(index_t{0}, nb, index_t{1},
-                         [&](index_t b0, index_t b1) {
-                           for (index_t b = b0; b < b1; ++b) {
-                             ChipLifetimeState& st =
-                                 chips[static_cast<std::size_t>(chip0 + b)];
-                             Rng rng = LifetimeModel::step_rng(lt, chip0 + b, t);
-                             lm.advance(&st, rng);
-                             lm.maybe_retune(&st, t, rng);
-                           }
-                         });
-            for (QuantLayerBase* q : qlayers) {
-              NoiseState& ns = q->noise_state();
-              for (index_t b = 0; b < nb; ++b) {
-                const ChipLifetimeState& st =
-                    chips[static_cast<std::size_t>(chip0 + b)];
-                ns.eps_b[static_cast<std::size_t>(b)] =
-                    static_cast<float>(lm.eps_b(st, t));
-                ns.eps_hat[static_cast<std::size_t>(b)] =
-                    static_cast<float>(st.eps_hat);
-              }
-              // eps_b is baked into the stacked effective weights,
-              // which cache on the revision — a new drift step needs a
-              // new build.
-              ++ns.revision;
-            }
+          for (QuantLayerBase* q : qlayers) {
+            NoiseState& ns = q->noise_state();
             for (index_t b = 0; b < nb; ++b) {
               const ChipLifetimeState& st =
                   chips[static_cast<std::size_t>(chip0 + b)];
-              win_stale[static_cast<std::size_t>(chip0 + b)] +=
-                  std::fabs(st.eps_hat - lm.eps_b(st, t));
+              ns.eps_b[static_cast<std::size_t>(b)] =
+                  static_cast<float>(lm.eps_b(st, t));
+              ns.eps_hat[static_cast<std::size_t>(b)] =
+                  static_cast<float>(st.eps_hat);
             }
-            // Step t evaluates test rows [(t-1)*batch_size, ...) mod
-            // n_test — a pure function of t, so a resumed run sees the
-            // same data.
-            const index_t base = (t - 1) * lt.batch_size;
-            for (index_t start = 0; start < rows_per_step; start += chunk) {
-              const index_t end = std::min(rows_per_step, start + chunk);
-              const index_t nrows = end - start;
-              step_idx.resize(static_cast<std::size_t>(nrows));
-              for (index_t i = 0; i < nrows; ++i) {
-                step_idx[static_cast<std::size_t>(i)] =
-                    (base + start + i) % n_test;
-              }
-              idx_tiled.clear();
-              idx_tiled.reserve(static_cast<std::size_t>(nb * nrows));
-              for (index_t b = 0; b < nb; ++b) {
-                idx_tiled.insert(idx_tiled.end(), step_idx.begin(),
-                                 step_idx.end());
-              }
-              Tensor x = test.gather_images(idx_tiled);
-              const std::vector<index_t> y = test.gather_labels(step_idx);
-              Tensor logits = replica.forward(x);  // {nb*nrows, classes}
-              const index_t classes = logits.dim(1);
-              block.resize_for_overwrite({nrows, classes});
-              for (index_t b = 0; b < nb; ++b) {
-                std::memcpy(block.data(), logits.data() + b * nrows * classes,
-                            static_cast<std::size_t>(nrows * classes) *
-                                sizeof(float));
-                index_t hits = 0;
-                softmax_xent(block, y, nullptr, &hits);
-                win_hits[static_cast<std::size_t>(chip0 + b)] += hits;
-              }
-            }
+            // eps_b is baked into the stacked effective weights, which
+            // cache on the revision — a new drift step needs a new build.
+            ++ns.revision;
           }
+          for (index_t b = 0; b < nb; ++b) {
+            const ChipLifetimeState& st =
+                chips[static_cast<std::size_t>(chip0 + b)];
+            win_stale[static_cast<std::size_t>(chip0 + b)] +=
+                std::fabs(st.eps_hat - lm.eps_b(st, t));
+          }
+          // Step t evaluates test rows [(t-1)*batch_size, ...) mod n_test
+          // — a pure function of t, so a resumed run sees the same data.
+          const index_t base = (t - 1) * lt.batch_size;
+          for (index_t i = 0; i < rows_per_step; ++i) {
+            step_rows[static_cast<std::size_t>(i)] = (base + i) % n_test;
+          }
+          score_chips(replica, test, step_rows, chunk, nb,
+                      win_hits.data() + chip0);
         }
       }
     });
@@ -477,13 +415,6 @@ FleetRunResult FleetEvaluator::run(const FleetStudySpec& spec) {
     snap.acc_sum = acc_sum;
     if (store_save_state(kFleetBucket, key, snap.to_state_dict(key))) {
       ++res.snapshots_published;
-    }
-    if (progress) {
-      std::fprintf(stderr,
-                   "[qavat-fleet] %s: step %lld/%lld mean=%.4f retunes=%lld\n",
-                   key.c_str(), static_cast<long long>(t_last),
-                   static_cast<long long>(lt.n_steps), row.mean,
-                   static_cast<long long>(retunes));
     }
   }
   res.trajectory.checkpoints = std::move(rows);

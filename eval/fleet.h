@@ -5,17 +5,15 @@
 // and P5/P50/P95 accuracy quantiles plus cumulative retune counts —
 // without ever materializing the N x T accuracy matrix.
 //
-// Execution: each checkpoint window runs as one chip lane per thread —
-// L = min(num_threads(), n_chips) lanes, lane l owning the contiguous
-// chips [l*n/L, (l+1)*n/L), as in evaluate_under_variability. Every lane
-// steps its range on its own clone_model replica (cloned once per run),
-// so the session's model is only read. Within a lane, chips run in
-// groups of chip_batch through the evaluator's noise-batched forward
-// (one chip-major tiled forward per lifetime step per group), and the
-// group's per-chip lifetime states advance from a nested parallel_for.
-// A chip's trajectory is a pure function of (seed, chip, t) and every
-// cross-chip reduction runs in chip order after the lanes join, so
-// results are bit-identical for any QAVAT_THREADS and any chip grouping
+// Execution: each checkpoint window runs on the evaluator's chip-lane
+// engine (eval/evaluator.h) — ChipLanes built once per run and reused by
+// every window, groups of chip_batch chips drawn by sample_chip_group
+// (the within-chip field, from Rng(seed, chip)), and one score_chips
+// pass per lifetime step per group — while the group's per-chip
+// lifetime states advance from a nested parallel_for. A chip's
+// trajectory is a pure function of (seed, chip, t) and every cross-chip
+// reduction runs in chip order after the lanes join, so results are
+// bit-identical for any QAVAT_THREADS and any chip grouping
 // (QAVAT_CHIP_BATCH, chip_batch_from_env in eval/evaluator.h, is
 // result-invariant and therefore not part of any key).
 //

@@ -235,6 +235,10 @@ bool ScenarioSpec::from_value(const Value& root, ScenarioSpec* out,
                    &s.train.scale_update, err, "train.")) {
       return false;
     }
+    // Training divides by its batch size.
+    if (s.train.batch_size < 1) {
+      return fail_field(err, "train.", "batch_size", "must be >= 1");
+    }
   }
   if (!read_noise(root, "deploy", &s.deploy, err)) return false;
   if (const Value* st = root.find("selftune")) {
@@ -268,6 +272,10 @@ bool ScenarioSpec::from_value(const Value& root, ScenarioSpec* out,
                     EvalBackend::kInt8},
                    &s.eval.backend, err, "eval.")) {
       return false;
+    }
+    // No chips means no accuracy to publish.
+    if (s.eval.n_chips < 1) {
+      return fail_field(err, "eval.", "n_chips", "must be >= 1");
     }
   }
   *out = std::move(s);

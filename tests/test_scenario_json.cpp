@@ -235,6 +235,20 @@ void test_rejection() {
   check_rejected(swap("\"model_cfg\":{", "\"model_cfg\":true,\"x\":{"),
                  "model_cfg: expected an object");
 
+  // Counts that size a division or a chip population must be >= 1:
+  // train.batch_size 0 divided by zero in training, and eval.n_chips < 1
+  // published the stats of an empty chip vector.
+  for (const char* bad : {"0", "-4"}) {
+    check_rejected(swap("\"batch_size\":", std::string("\"batch_size\":") +
+                                                bad + ",\"x\":"),
+                   "train.batch_size: must be >= 1");
+  }
+  for (const char* bad : {"0", "-3"}) {
+    check_rejected(swap("\"n_chips\":",
+                        std::string("\"n_chips\":") + bad + ",\"x\":"),
+                   "eval.n_chips: must be >= 1");
+  }
+
   // Strict grammar: numbers outside the RFC 8259 grammar, integers that
   // are fractional, out of range or (unsigned fields) signed, duplicate
   // keys, and nesting deep enough to exhaust a recursive parser's stack.
