@@ -78,7 +78,10 @@ fi
 # cover the NoiseState slot writes, the model cache and the eval cache;
 # test_runner covers run_all's lanes and their busy skip. test_int_ops
 # and test_conv_ops run the int8 and conv chip lanes of
-# evaluate_under_variability through the shared chip-lane engine. The store
+# evaluate_under_variability through the shared chip-lane engine.
+# test_gemm covers the GEMM register tile's partial widths (the
+# overlapping last tile and the narrow panel), where a read of B or a
+# write of C past the last column would hide. The store
 # tests, test_runner and test_lifetime run on their own private stores
 # and need persistence, so they keep the store on. The flags go through
 # CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS, so the pass needs no CMake
@@ -94,7 +97,7 @@ if "${CXX:-c++}" ${ASAN_FLAGS} "${TSAN_PROBE}/probe.cc" \
         -DCMAKE_EXE_LINKER_FLAGS="${ASAN_FLAGS}"
   ASAN_TESTS=(test_scenario_json test_lifetime test_fuzz_decoders
               test_eval_batched test_store test_store_faults test_train_smoke
-              test_runner test_int_ops test_conv_ops)
+              test_runner test_int_ops test_conv_ops test_gemm)
   cmake --build "${ASAN_BUILD_DIR}" -j "${JOBS}" --target "${ASAN_TESTS[@]}"
   for t in "${ASAN_TESTS[@]}"; do
     echo "-- asan+ubsan ${t} --"

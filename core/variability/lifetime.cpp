@@ -1,6 +1,7 @@
 #include "core/variability/lifetime.h"
 
 #include <cmath>
+#include <utility>
 
 #include "core/selftune/selftune.h"
 
@@ -189,6 +190,18 @@ bool LifetimeSpec::from_value(const Value& root, LifetimeSpec* out,
       !read_index(root, "batch_size", &s.batch_size, err) ||
       !read_u64(root, "seed", &s.seed, err)) {
     return false;
+  }
+  const std::pair<const char*, index_t> positive[] = {
+      {"n_chips", s.n_chips},
+      {"n_steps", s.n_steps},
+      {"checkpoint_every", s.checkpoint_every},
+      {"batch_size", s.batch_size}};
+  for (const auto& [name, value] : positive) {
+    if (value < 1) return fail_field(err, "", name, "must be >= 1");
+  }
+  if (s.n_steps % s.checkpoint_every != 0) {
+    return fail_field(err, "", "checkpoint_every",
+                      "must divide n_steps (" + lld(s.n_steps) + ")");
   }
   *out = s;
   return true;

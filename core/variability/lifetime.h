@@ -102,8 +102,10 @@ struct LifetimeSpec {
   std::string to_json() const;
 
   /// Parse a to_json() document. Returns false — leaving *out untouched
-  /// — on malformed JSON, an unknown enum token or a schema mismatch;
-  /// absent optional fields keep their defaults. `*error` (optional)
+  /// — on malformed JSON, an unknown enum token, a schema mismatch, an
+  /// n_chips, n_steps, checkpoint_every or batch_size below 1, or a
+  /// checkpoint_every that does not divide n_steps; absent optional
+  /// fields keep their defaults. `*error` (optional)
   /// names the offending field, e.g. "policy.budget: expected a number".
   static bool from_json(const std::string& text, LifetimeSpec* out,
                         std::string* error = nullptr);

@@ -3,14 +3,17 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "tensor/parallel_for.h"
 
-// SIMD hints for the inner loops. -fopenmp-simd (no OpenMP runtime) turns
-// these into vectorization directives; without it they expand to nothing
-// and the plain loops still auto-vectorize where the compiler can prove it.
+// SIMD hints for the elementwise loops (the GEMM tiles use explicit
+// vectors). -fopenmp-simd (no OpenMP runtime) turns these into
+// vectorization directives; without it they expand to nothing and the
+// plain loops still auto-vectorize where the compiler can prove it.
 #if defined(QAVAT_OMP_SIMD)
 #define QAVAT_PRAGMA(x) _Pragma(#x)
 #define QAVAT_SIMD QAVAT_PRAGMA(omp simd)
@@ -49,163 +52,235 @@ void check_gemm_2d(const char* name, const Tensor& a, const Tensor& b,
 // ---------------------------------------------------------------- kernels
 //
 // All cores operate on a row range [i0, i1) of the output and are pure
-// serial code; parallel_for splits rows across threads with boundaries
-// aligned to kRowBlock, so each row is always processed by the same code
-// path (block vs. remainder) with the same per-element operation order —
-// the bit-identity guarantee in ops.h.
+// serial code; parallel_for splits rows across threads. Every C element
+// is one fixed accumulation chain whichever core, tile or row band
+// produces it (mul_tile below), so results are bit-identical for any
+// thread count — the guarantee in ops.h.
 
-constexpr index_t kRowBlock = 4;   // register-blocked output rows
-constexpr index_t kJTile = 32;     // C columns accumulated in registers
+// One 16-float vector in the GCC/Clang vector extension: a single zmm
+// register on AVX-512 builds, lowered to narrower registers elsewhere.
+// It is only ever loaded and stored through memcpy (unaligned and
+// alias-safe).
+typedef float Vec __attribute__((vector_size(64)));
+constexpr index_t kVec = 16;            // floats per Vec
+constexpr index_t kRowBlock = 4;        // C rows per register tile
+constexpr index_t kJTile = 2 * kVec;    // C columns per register tile
 constexpr index_t kMinMacsPerChunk = index_t{1} << 19;  // thread grain target
 constexpr index_t kSerialMacs = index_t{1} << 21;       // below: never fork
+// TN splits its contraction into segments of
+// max(1, kTnSegmentFloats / (n + kVec)) rows: 256 KiB of B (or of its
+// narrow panel), which stays in L2 while every row band of the chunk
+// reads it, instead of each band re-streaming all of B from memory.
+constexpr index_t kTnSegmentFloats = index_t{1} << 16;
 
-// 4 x kJTile register tile shared by all three GEMM kernels: the C tile
-// stays in vector registers across the whole contraction, the p-th B row
-// slice is read at `pb + p*bstride + bj0`, and the per-element
-// accumulation order (ascending p from 0.0f) matches a naive triple loop.
-// `LoadA` maps (p, r) to the A element for C row i+r — the only
-// difference between the NN (row-major A) and TN (transposed A) kernels;
-// the NT kernel feeds a transposed-packed B panel instead.
+// Copy w (1..kVec) floats as at most two fixed-size moves that overlap,
+// never touching src or dst past w: a partial-width tile moves a few
+// floats per C row or panel row, where a variable-length memcpy call
+// would cost more than the tile's arithmetic.
+inline void copy_floats(float* dst, const float* src, index_t w) {
+  auto two_moves = [&](index_t len) {
+    std::memcpy(dst, src, static_cast<std::size_t>(len) * sizeof(float));
+    std::memcpy(dst + w - len, src + w - len,
+                static_cast<std::size_t>(len) * sizeof(float));
+  };
+  if (w == kVec) {
+    std::memcpy(dst, src, sizeof(Vec));
+  } else if (w >= 8) {
+    two_moves(8);
+  } else if (w >= 4) {
+    two_moves(4);
+  } else if (w >= 2) {
+    two_moves(2);
+  } else {
+    std::memcpy(dst, src, sizeof(float));
+  }
+}
+
+// The register tile every GEMM runs on: C rows [0, R) x columns [0, jr)
+// of `pc` (row stride ldc), NV = 2 for 16 < jr <= 32, else NV = 1. The
+// R*NV accumulators are Vec values that stay in registers for the
+// whole contraction. Vector 0 covers columns [0, 16); vector 1 covers
+// [jr - 16, jr), overlapping vector 0 when jr < 32, so every B load and
+// C access is a full vector inside the tile's columns. Only a tile
+// narrower than one vector (jr < 16, which happens only when all of C
+// is narrower) is partial: it reads B from a zero-padded panel and
+// moves just jr floats of C. B row p starts at pb + p*bstride.
+// `load_a(p, r)` is the A element for C row r — the only difference
+// between row-major A (NN, NT) and transposed A (TN).
 //
-// When `Acc` is set the accumulators initialize from C instead of 0.0f,
-// so the per-element chain CONTINUES from C's value: splitting the
-// contraction dimension into segments and chaining Acc calls is
-// bit-identical to one full-width pass. That exact-reassociation
-// property is what makes the crossbar column-tiling (pim/tiling.h)
-// bit-identical to an untiled readout.
-template <index_t JR, bool Acc, typename LoadA>
-inline void mul_tile4(const LoadA& load_a, const float* pb, index_t bstride,
-                      index_t bj0, float* pc, index_t i, index_t j0, index_t jr,
-                      index_t k, index_t n) {
-  float acc0[JR], acc1[JR], acc2[JR], acc3[JR];
-  if (Acc) {
-    const float* c0 = pc + (i + 0) * n + j0;
-    const float* c1 = pc + (i + 1) * n + j0;
-    const float* c2 = pc + (i + 2) * n + j0;
-    const float* c3 = pc + (i + 3) * n + j0;
-    for (index_t jj = 0; jj < jr; ++jj) {
-      acc0[jj] = c0[jj];
-      acc1[jj] = c1[jj];
-      acc2[jj] = c2[jj];
-      acc3[jj] = c3[jj];
-    }
-  } else {
-    for (index_t jj = 0; jj < jr; ++jj) {
-      acc0[jj] = acc1[jj] = acc2[jj] = acc3[jj] = 0.0f;
-    }
-  }
-  for (index_t p = 0; p < k; ++p) {
-    const float* brow = pb + p * bstride + bj0;
-    const float av0 = load_a(p, 0), av1 = load_a(p, 1);
-    const float av2 = load_a(p, 2), av3 = load_a(p, 3);
-    QAVAT_SIMD
-    for (index_t jj = 0; jj < jr; ++jj) {
-      acc0[jj] += av0 * brow[jj];
-      acc1[jj] += av1 * brow[jj];
-      acc2[jj] += av2 * brow[jj];
-      acc3[jj] += av3 * brow[jj];
-    }
-  }
-  float* c0 = pc + (i + 0) * n + j0;
-  float* c1 = pc + (i + 1) * n + j0;
-  float* c2 = pc + (i + 2) * n + j0;
-  float* c3 = pc + (i + 3) * n + j0;
-  for (index_t jj = 0; jj < jr; ++jj) {
-    c0[jj] = acc0[jj];
-    c1[jj] = acc1[jj];
-    c2[jj] = acc2[jj];
-    c3[jj] = acc3[jj];
-  }
-}
-
-// Single-row remainder of the tile kernel, same accumulation order.
-template <index_t JR, bool Acc, typename LoadA>
-inline void mul_tile1(const LoadA& load_a, const float* pb, index_t bstride,
-                      index_t bj0, float* pc, index_t i, index_t j0, index_t jr,
-                      index_t k, index_t n) {
-  float acc[JR];
-  if (Acc) {
-    const float* crow = pc + i * n + j0;
-    for (index_t jj = 0; jj < jr; ++jj) acc[jj] = crow[jj];
-  } else {
-    for (index_t jj = 0; jj < jr; ++jj) acc[jj] = 0.0f;
-  }
-  for (index_t p = 0; p < k; ++p) {
-    const float* brow = pb + p * bstride + bj0;
-    const float av = load_a(p, 0);
-    QAVAT_SIMD
-    for (index_t jj = 0; jj < jr; ++jj) acc[jj] += av * brow[jj];
-  }
-  float* crow = pc + i * n + j0;
-  for (index_t jj = 0; jj < jr; ++jj) crow[jj] = acc[jj];
-}
-
-// Tile sweep over one C row band [i, i+rows) for C columns [j0, j0+jr);
-// `rows` is 4 or the final remainder. Full-width (32) and half-width (16)
-// tiles run with compile-time constant trip counts so the accumulators
-// stay in registers — the 16-wide case is the narrow-fan-out conv/linear
-// layers (cout 16), where a 32-wide tile would waste half its lanes.
-// JR only sizes the accumulator array; the per-element accumulation
-// order (ascending p) is identical across instantiations.
-template <bool Acc = false, typename LoadA>
-void mul_band(const LoadA& load_a, const float* pb, index_t bstride,
-              index_t bj0, float* pc, index_t i, index_t rows, index_t j0,
-              index_t jr, index_t k, index_t n) {
-  if (rows == kRowBlock) {
-    if (jr == kJTile) {
-      mul_tile4<kJTile, Acc>(load_a, pb, bstride, bj0, pc, i, j0, kJTile, k, n);
-    } else if (jr == kJTile / 2) {
-      mul_tile4<kJTile / 2, Acc>(load_a, pb, bstride, bj0, pc, i, j0, jr, k, n);
-    } else {
-      mul_tile4<kJTile, Acc>(load_a, pb, bstride, bj0, pc, i, j0, jr, k, n);
-    }
-  } else {
-    for (index_t r = 0; r < rows; ++r) {
-      const index_t ir = i + r;
-      auto load_r = [&](index_t p, index_t) { return load_a(p, r); };
-      if (jr == kJTile) {
-        mul_tile1<kJTile, Acc>(load_r, pb, bstride, bj0, pc, ir, j0, kJTile, k, n);
-      } else if (jr == kJTile / 2) {
-        mul_tile1<kJTile / 2, Acc>(load_r, pb, bstride, bj0, pc, ir, j0, jr, k, n);
-      } else {
-        mul_tile1<kJTile, Acc>(load_r, pb, bstride, bj0, pc, ir, j0, jr, k, n);
+// Each C element's chain is fixed: it starts at 0.0f — or, with Acc, at
+// C's current value — and adds a*b over ascending p, the order of a
+// naive triple loop. R, NV, the tile's columns and the overlap never
+// change it: an overlapped column is the same chain twice, stored twice
+// with the same bits, and both vectors read C before either writes it.
+// With Acc, splitting the contraction into segments and chaining calls
+// is therefore bit-identical to one pass: the exact-reassociation
+// property behind the crossbar column tiling (pim/tiling.h) and TN's
+// segment blocking.
+template <int R, int NV, bool Acc, typename LoadA>
+inline void mul_tile(const LoadA& load_a, const float* pb, index_t bstride,
+                     float* pc, index_t ldc, index_t jr, index_t k) {
+  const index_t off[2] = {0, jr - kVec};  // column of each vector
+  const index_t w0 = std::min(jr, kVec);  // live lanes of vector 0
+  // The accumulators' addresses are never taken (C moves through a
+  // temporary), so the compiler keeps all R*NV of them in registers.
+  Vec acc[R][NV];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      Vec c0 = {};
+      if (Acc) {
+        copy_floats(reinterpret_cast<float*>(&c0), pc + r * ldc + off[v],
+                    v == 0 ? w0 : kVec);
       }
+      acc[r][v] = c0;
     }
+  }
+  for (index_t p = 0; p < k; ++p) {
+    const float* brow = pb + p * bstride;
+    Vec b[NV];
+    for (int v = 0; v < NV; ++v) {
+      std::memcpy(&b[v], brow + off[v], sizeof(Vec));
+    }
+    for (int r = 0; r < R; ++r) {
+      const float a = load_a(p, r);
+      for (int v = 0; v < NV; ++v) acc[r][v] += a * b[v];
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      const Vec c1 = acc[r][v];
+      copy_floats(pc + r * ldc + off[v], reinterpret_cast<const float*>(&c1),
+                  v == 0 ? w0 : kVec);
+    }
+  }
+}
+
+template <int NV, bool Acc, typename LoadA>
+void mul_tile_rows(const LoadA& load_a, index_t rows, const float* pb,
+                   index_t bstride, float* pc, index_t ldc, index_t jr,
+                   index_t k) {
+  switch (rows) {
+    case 4: return mul_tile<4, NV, Acc>(load_a, pb, bstride, pc, ldc, jr, k);
+    case 3: return mul_tile<3, NV, Acc>(load_a, pb, bstride, pc, ldc, jr, k);
+    case 2: return mul_tile<2, NV, Acc>(load_a, pb, bstride, pc, ldc, jr, k);
+    default: return mul_tile<1, NV, Acc>(load_a, pb, bstride, pc, ldc, jr, k);
+  }
+}
+
+// One row band (1..kRowBlock rows) by one tile of jr <= kJTile columns,
+// with the row and vector counts as compile-time constants.
+template <bool Acc, typename LoadA>
+void mul_band(const LoadA& load_a, index_t rows, const float* pb,
+              index_t bstride, float* pc, index_t ldc, index_t jr,
+              index_t k) {
+  if (jr > kVec) {
+    mul_tile_rows<2, Acc>(load_a, rows, pb, bstride, pc, ldc, jr, k);
+  } else {
+    mul_tile_rows<1, Acc>(load_a, rows, pb, bstride, pc, ldc, jr, k);
+  }
+}
+
+// The one column plan of every GEMM: fn(t, j0, jr) for tile t covering C
+// columns [j0, j0 + jr). Tiles are 32 wide, then 16 where 16 divides the
+// rest. Otherwise the last tile takes 17..31 columns (the last n % 32,
+// plus 16 when that is under 16) and its two vectors overlap. Only
+// n < 16 gives a tile narrower than a vector.
+template <typename Fn>
+void for_each_col_tile(index_t n, Fn&& fn) {
+  const index_t rem = n % kJTile;
+  const index_t last =
+      n < kVec || n % kVec == 0 ? 0 : (rem > kVec ? rem : rem + kVec);
+  index_t t = 0, j0 = 0;
+  for (; j0 < n - last; j0 += kJTile) {
+    fn(t++, j0, std::min(kJTile, n - last - j0));
+  }
+  if (last > 0) fn(t, n - last, last);
+}
+
+index_t col_tile_count(index_t n) {
+  index_t count = 0;
+  for_each_col_tile(n, [&](index_t, index_t, index_t) { ++count; });
+  return count;
+}
+
+// Row-major B {k, n} with n < 16 copied into a zero-padded {k, 16} panel,
+// so the one partial-width tile reads full vectors without touching B
+// past column n. thread_local: reused across calls and safe under
+// parallel_for.
+const float* pack_narrow_panel(const float* pb, index_t k, index_t n) {
+  thread_local std::vector<float> panel;
+  panel.assign(static_cast<std::size_t>(k * kVec), 0.0f);
+  for (index_t p = 0; p < k; ++p) {
+    copy_floats(panel.data() + p * kVec, pb + p * n, n);
+  }
+  return panel.data();
+}
+
+// C rows [i0,i1) (+)= A rows * B for row-major B {k, n}, reading B in
+// place (or through the narrow panel when n < 16). `band_a(i)` returns
+// the LoadA of the row band starting at C row i. Row bands outermost: a
+// band's A rows stay hot while B streams.
+template <bool Acc, typename BandA>
+void gemm_b_rows(const BandA& band_a, const float* pb, float* pc, index_t i0,
+                 index_t i1, index_t k, index_t n) {
+  const bool narrow = n < kVec;
+  const float* pbt = narrow ? pack_narrow_panel(pb, k, n) : pb;
+  const index_t bstride = narrow ? kVec : n;
+  for (index_t i = i0; i < i1; i += kRowBlock) {
+    const index_t rows = std::min(kRowBlock, i1 - i);
+    const auto load_a = band_a(i);
+    for_each_col_tile(n, [&](index_t, index_t j0, index_t jr) {
+      mul_band<Acc>(load_a, rows, pbt + j0, bstride, pc + i * n + j0, n, jr,
+                    k);
+    });
   }
 }
 
 // C rows [i0,i1) = A rows * B  (A {m,k} row-major, B {k,n} row-major).
-// Row bands outermost: the 4 A rows stay hot while B streams through.
 void gemm_nn_rows(const float* pa, const float* pb, float* pc, index_t i0,
                   index_t i1, index_t k, index_t n) {
-  index_t i = i0;
-  for (; i + kRowBlock <= i1; i += kRowBlock) {
+  auto band_a = [=](index_t i) {
     const float* a0 = pa + i * k;
-    auto load_a = [&](index_t p, index_t r) { return a0[r * k + p]; };
-    for (index_t j0 = 0; j0 < n; j0 += kJTile) {
-      const index_t jr = std::min(kJTile, n - j0);
-      mul_band(load_a, pb, n, j0, pc, i, kRowBlock, j0, jr, k, n);
-    }
-  }
-  if (i < i1) {
-    const float* a0 = pa + i * k;
-    auto load_a = [&](index_t p, index_t r) { return a0[r * k + p]; };
-    for (index_t j0 = 0; j0 < n; j0 += kJTile) {
-      const index_t jr = std::min(kJTile, n - j0);
-      mul_band(load_a, pb, n, j0, pc, i, i1 - i, j0, jr, k, n);
+    return [=](index_t p, index_t r) { return a0[r * k + p]; };
+  };
+  gemm_b_rows<false>(band_a, pb, pc, i0, i1, k, n);
+}
+
+// C rows [i0,i1) = A^T rows * B  (A {k,m}, B {k,n}, both row-major), one
+// contraction segment at a time: the first segment starts each chain at
+// 0.0f, the later ones continue it from C (Acc), bit-identical to one
+// pass. k == 0 still runs one (empty) segment so C is zero-filled.
+void gemm_tn_rows(const float* pa, const float* pb, float* pc, index_t i0,
+                  index_t i1, index_t k, index_t m, index_t n) {
+  const index_t seg = std::max<index_t>(1, kTnSegmentFloats / (n + kVec));
+  for (index_t p0 = 0; p0 == 0 || p0 < k; p0 += seg) {
+    const index_t kk = std::min(seg, k - p0);
+    auto band_a = [=](index_t i) {
+      const float* a0 = pa + p0 * m + i;
+      return [=](index_t p, index_t r) { return a0[p * m + r]; };
+    };
+    if (p0 == 0) {
+      gemm_b_rows<false>(band_a, pb, pc, i0, i1, kk, n);
+    } else {
+      gemm_b_rows<true>(band_a, pb + p0 * n, pc, i0, i1, kk, n);
     }
   }
 }
 
-// Transpose one kJTile-column panel of B {n, k} into a packed {k, kJTile}
-// buffer so the register-tile kernel runs at full SIMD width. The pack
-// depends only on (B, j0), never on the row range, so results stay
-// thread-count independent no matter who packs.
+// Transpose the columns [j0, j0 + jr) of B {n, k} into a packed
+// {k, kJTile} panel, zero-padding past jr, so the register tile reads
+// full vectors. The pack depends only on (B, j0, jr), never on the row
+// range, so results stay thread-count independent no matter who packs.
 void pack_nt_panel(const float* pb, index_t k, index_t j0, index_t jr,
                    float* pk) {
   for (index_t jj = 0; jj < jr; ++jj) {
     const float* brow = pb + (j0 + jj) * k;
     for (index_t p = 0; p < k; ++p) pk[p * kJTile + jj] = brow[p];
+  }
+  if (jr < kJTile) {
+    for (index_t p = 0; p < k; ++p) {
+      std::fill(pk + p * kJTile + jr, pk + (p + 1) * kJTile, 0.0f);
+    }
   }
 }
 
@@ -215,16 +290,11 @@ template <bool Acc = false>
 void gemm_nt_panel_rows(const float* pa, const float* pk, float* pc,
                         index_t i0, index_t i1, index_t j0, index_t jr,
                         index_t k, index_t n) {
-  index_t i = i0;
-  for (; i + kRowBlock <= i1; i += kRowBlock) {
+  for (index_t i = i0; i < i1; i += kRowBlock) {
     const float* a0 = pa + i * k;
-    auto load_a = [&](index_t p, index_t r) { return a0[r * k + p]; };
-    mul_band<Acc>(load_a, pk, kJTile, index_t{0}, pc, i, kRowBlock, j0, jr, k, n);
-  }
-  if (i < i1) {
-    const float* a0 = pa + i * k;
-    auto load_a = [&](index_t p, index_t r) { return a0[r * k + p]; };
-    mul_band<Acc>(load_a, pk, kJTile, index_t{0}, pc, i, i1 - i, j0, jr, k, n);
+    auto load_a = [=](index_t p, index_t r) { return a0[r * k + p]; };
+    mul_band<Acc>(load_a, std::min(kRowBlock, i1 - i), pk, kJTile,
+                  pc + i * n + j0, n, jr, k);
   }
 }
 
@@ -238,38 +308,15 @@ void gemm_nt_rows(const float* pa, const float* pb, float* pc, index_t i0,
   // without a heap allocation per call, and safe under parallel_for.
   thread_local std::vector<float> pack;
   pack.resize(static_cast<std::size_t>(k * kJTile));
-  for (index_t j0 = 0; j0 < n; j0 += kJTile) {
-    const index_t jr = std::min(kJTile, n - j0);
+  for_each_col_tile(n, [&](index_t, index_t j0, index_t jr) {
     pack_nt_panel(pb, k, j0, jr, pack.data());
     gemm_nt_panel_rows<Acc>(pa, pack.data(), pc, i0, i1, j0, jr, k, n);
-  }
-}
-
-// C rows [i0,i1) = A^T rows * B  (A {k,m}, B {k,n}, both row-major).
-void gemm_tn_rows(const float* pa, const float* pb, float* pc, index_t i0,
-                  index_t i1, index_t k, index_t m, index_t n) {
-  index_t i = i0;
-  for (; i + kRowBlock <= i1; i += kRowBlock) {
-    const float* a0 = pa + i;
-    auto load_a = [&](index_t p, index_t r) { return a0[p * m + r]; };
-    for (index_t j0 = 0; j0 < n; j0 += kJTile) {
-      const index_t jr = std::min(kJTile, n - j0);
-      mul_band(load_a, pb, n, j0, pc, i, kRowBlock, j0, jr, k, n);
-    }
-  }
-  if (i < i1) {
-    const float* a0 = pa + i;
-    auto load_a = [&](index_t p, index_t r) { return a0[p * m + r]; };
-    for (index_t j0 = 0; j0 < n; j0 += kJTile) {
-      const index_t jr = std::min(kJTile, n - j0);
-      mul_band(load_a, pb, n, j0, pc, i, i1 - i, j0, jr, k, n);
-    }
-  }
+  });
 }
 
 // Row-partition dispatch: grain sized so each chunk carries at least
-// kMinMacsPerChunk of work, rounded up to kRowBlock so chunk boundaries
-// never change a row's block-vs-remainder path.
+// kMinMacsPerChunk of work, rounded up to kRowBlock so every chunk but
+// the last is made of full-height tiles.
 template <typename Core>
 void launch_rows(index_t m, index_t macs_per_row, Core&& core) {
   if (m <= 0) return;
@@ -298,21 +345,20 @@ void gemm_nt_dispatch(const float* pa, const float* pb, float* pc, index_t m,
   // thread_local (one buffer per Acc instantiation): reused by the many
   // same-shape NT GEMMs of an eval or training loop without a heap
   // allocation per call.
-  const index_t npanels = (n + kJTile - 1) / kJTile;
+  const index_t npanels = col_tile_count(n);
   thread_local std::vector<float> pack;
   if (pack.size() < static_cast<std::size_t>(npanels * k * kJTile)) {
     pack.resize(static_cast<std::size_t>(npanels * k * kJTile));
   }
-  for (index_t j0 = 0; j0 < n; j0 += kJTile) {
-    pack_nt_panel(pb, k, j0, std::min(kJTile, n - j0),
-                  pack.data() + (j0 / kJTile) * k * kJTile);
-  }
+  for_each_col_tile(n, [&](index_t t, index_t j0, index_t jr) {
+    pack_nt_panel(pb, k, j0, jr, pack.data() + t * k * kJTile);
+  });
   const float* pk_all = pack.data();
   launch_rows(m, k * n, [=](index_t i0, index_t i1) {
-    for (index_t j0 = 0; j0 < n; j0 += kJTile) {
-      gemm_nt_panel_rows<Acc>(pa, pk_all + (j0 / kJTile) * k * kJTile, pc, i0,
-                              i1, j0, std::min(kJTile, n - j0), k, n);
-    }
+    for_each_col_tile(n, [&](index_t t, index_t j0, index_t jr) {
+      gemm_nt_panel_rows<Acc>(pa, pk_all + t * k * kJTile, pc, i0, i1, j0, jr,
+                              k, n);
+    });
   });
 }
 

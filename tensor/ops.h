@@ -1,9 +1,16 @@
 // Numeric kernels over Tensor: GEMM variants, random fills, reductions,
 // and the softmax/cross-entropy pair the trainer uses.
 //
-// GEMM kernels are blocked (register-tiled rows, cache-tiled columns) with
-// SIMD-friendly inner loops, and split output rows across std::threads via
-// tensor/parallel_for.h (QAVAT_THREADS, default hardware_concurrency).
+// Every GEMM variant runs on one register-tile engine: a tile of up to
+// 4 C rows x 32 C columns whose accumulators are 16-float vectors
+// (GCC/Clang vector extension, no intrinsics) held in registers for the
+// whole contraction. A row width that 16 does not divide ends in a tile
+// whose two vectors overlap, so every access stays a full vector inside
+// the row; only a C narrower than 16 columns uses partial vectors, over
+// a zero-padded copy of B. NT packs B transposed into 32-column panels;
+// TN walks its contraction in L2-sized segments chained through C.
+// Output rows are split across std::threads via tensor/parallel_for.h
+// (QAVAT_THREADS, default hardware_concurrency).
 //
 // Determinism contract (relied on by tests and the Monte-Carlo evaluator):
 //  * Shape checks are ALWAYS on — a dimension mismatch throws
@@ -13,10 +20,15 @@
 //    are no value-dependent branches (in particular no zero-skip), so the
 //    accumulation order — ascending over the contraction dimension per
 //    output element — never depends on weight sparsity.
-//  * Each output element is produced by exactly one thread with a fixed
-//    per-element operation order, so results are bit-identical for any
-//    thread count, and matmul_nt_batched(a, b, g) is bit-identical to g
-//    independent matmul_nt calls on the corresponding blocks.
+//  * Chain invariance: each output element is one fixed chain — start at
+//    0.0f and add a*b over ascending contraction index — computed by
+//    exactly one thread, whatever the transpose variant, tile width, row
+//    band or thread count. So results are bit-identical for any thread
+//    count; matmul(a, b), matmul_nt(a, b^T) and matmul_tn(a^T, b) agree
+//    bit for bit; a leading column slice of B or row slice of A
+//    reproduces the same bits as the full product; and
+//    matmul_nt_batched(a, b, g) is bit-identical to g independent
+//    matmul_nt calls on the corresponding blocks.
 #pragma once
 
 #include "tensor/tensor.h"

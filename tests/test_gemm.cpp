@@ -1,7 +1,9 @@
 // Tier-1: the tiled/threaded GEMM layer against a naive reference across
 // odd/non-tile-multiple shapes and all three transpose variants, the
 // always-on shape checks (must throw in Release builds too), thread-count
-// bit-identity, and the grouped (noise-batched) NT kernel.
+// bit-identity, the grouped (noise-batched) NT kernel, and the
+// chain-invariance contract of the register-tile engine.
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -72,6 +74,55 @@ void check_all_variants(index_t m, index_t k, index_t n, Rng& rng) {
   CHECK(max_abs_diff(c, ref) < tol);
   CHECK(max_abs_diff(matmul_nt(a, transpose(b)), ref) < tol);
   CHECK(max_abs_diff(matmul_tn(transpose(a), b), ref) < tol);
+}
+
+// Leading `cols` columns / `rows` rows of a row-major 2-D tensor.
+Tensor leading_cols(const Tensor& t, index_t cols) {
+  const index_t r = t.dim(0), c = t.dim(1);
+  Tensor s({r, cols});
+  for (index_t i = 0; i < r; ++i) {
+    std::memcpy(s.data() + i * cols, t.data() + i * c,
+                static_cast<std::size_t>(cols) * sizeof(float));
+  }
+  return s;
+}
+
+Tensor leading_rows(const Tensor& t, index_t rows) {
+  Tensor s({rows, t.dim(1)});
+  std::memcpy(s.data(), t.data(),
+              static_cast<std::size_t>(rows * t.dim(1)) * sizeof(float));
+  return s;
+}
+
+// Chain invariance: every C element is the same FMA chain (from 0.0f,
+// ascending over the contraction) whichever transpose variant, tile
+// width or row band produced it. So (a) NN, NT and TN agree bit for bit,
+// and (b) a column slice of B or a row slice of A reproduces the bits of
+// the full product — a narrower slice moves an element between full
+// tiles, the overlapping last tile, the partial tile of a C narrower
+// than 16 columns and the 1..3-row remainder band.
+void check_chain_invariance(index_t m, index_t k, index_t n, Rng& rng) {
+  Tensor a({m, k}), b({k, n});
+  fill_normal(a, rng);
+  fill_normal(b, rng);
+  const Tensor at = transpose(a), bt = transpose(b);
+  const Tensor c = matmul(a, b);
+  CHECK(bit_identical(matmul_nt(a, bt), c));
+  CHECK(bit_identical(matmul_tn(at, b), c));
+  for (index_t j : {index_t{1}, n / 2, n - 1}) {
+    if (j < 1 || j >= n) continue;
+    const Tensor cj = leading_cols(c, j), bj = leading_cols(b, j);
+    CHECK(bit_identical(matmul(a, bj), cj));
+    CHECK(bit_identical(matmul_nt(a, leading_rows(bt, j)), cj));
+    CHECK(bit_identical(matmul_tn(at, bj), cj));
+  }
+  for (index_t i : {index_t{1}, m / 2, m - 1}) {
+    if (i < 1 || i >= m) continue;
+    const Tensor ci = leading_rows(c, i), ai = leading_rows(a, i);
+    CHECK(bit_identical(matmul(ai, b), ci));
+    CHECK(bit_identical(matmul_nt(ai, bt), ci));
+    CHECK(bit_identical(matmul_tn(leading_cols(at, i), b), ci));
+  }
 }
 
 template <typename Fn>
@@ -167,6 +218,34 @@ int main() {
         Tensor cg = matmul_nt(ag, bg);
         CHECK(std::memcmp(c.data() + g * rows * n, cg.data(),
                           static_cast<std::size_t>(rows * n) * sizeof(float)) == 0);
+      }
+    }
+    set_num_threads(saved);
+  }
+
+  // Chain invariance at both thread budgets. Column counts straddle the
+  // 16-float vector and the 32-column tile; row counts are never a
+  // multiple of the 4-row band. The small (m, k) runs serially, the
+  // large one splits its rows across the pool.
+  {
+    const index_t saved = num_threads();
+    const index_t widths[] = {1, 3, 10, 16, 27, 33, 40, 84, 144, 288};
+    for (index_t nt : {1, 4}) {
+      set_num_threads(nt);
+      for (index_t n : widths) {
+        check_chain_invariance(7, 37, n, rng);
+        check_chain_invariance(203, 129, n, rng);
+      }
+      // TN splits its contraction into row segments of
+      // max(1, 2^16 / (n + 16)) rows (tensor/ops.cpp), chained through
+      // C; a contraction one row short of, at and past a segment
+      // boundary must chain exactly.
+      for (index_t n : {index_t{10}, index_t{27}, index_t{40}, index_t{288}}) {
+        const index_t seg =
+            std::max<index_t>(1, (index_t{1} << 16) / (n + 16));
+        for (index_t k = seg - 1; k <= seg + 1; ++k) {
+          check_chain_invariance(19, k, n, rng);
+        }
       }
     }
     set_num_threads(saved);

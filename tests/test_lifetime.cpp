@@ -481,6 +481,20 @@ void test_lifetime_spec_rejection() {
   check_lifetime_rejected(
       swap("\"n_chips\":17", "\"n_chips\":17,\"n_chips\":18"),
       "n_chips: malformed JSON (duplicate key)");
+  // Fleet sizes the decoder rejects up front, so a study file can never
+  // reach FleetEvaluator::run's own checks.
+  check_lifetime_rejected(swap("\"n_chips\":17", "\"n_chips\":0"),
+                          "n_chips: must be >= 1");
+  check_lifetime_rejected(swap("\"n_steps\":35", "\"n_steps\":-35"),
+                          "n_steps: must be >= 1");
+  check_lifetime_rejected(
+      swap("\"checkpoint_every\":7", "\"checkpoint_every\":0"),
+      "checkpoint_every: must be >= 1");
+  check_lifetime_rejected(swap("\"batch_size\":13", "\"batch_size\":0"),
+                          "batch_size: must be >= 1");
+  check_lifetime_rejected(
+      swap("\"checkpoint_every\":7", "\"checkpoint_every\":6"),
+      "checkpoint_every: must divide n_steps (35)");
   const std::string deep = test::nested_json("{\"a\":", "}", 100000);
   check_lifetime_rejected(
       swap("\"drift\":{", "\"drift\":{\"deep\":" + deep + ","),

@@ -21,11 +21,13 @@
 //   study key=<study key> chips=<n> steps=<n> checkpoint=<k>
 //   traj <i> step=<t> mean=<g> min=<g> max=<g> p5=<g> p50=<g> p95=<g>
 //        retunes=<n> stale=<g>
-// Provenance goes to stderr:
+// An invalid spec or any other error prints "qavat-fleet: <reason>" to
+// stderr and exits 1. Provenance goes to stderr:
 //   [qavat-fleet] key=<key> resumed_from=<t> published=<n> loaded=<0|1>
 //   trained=<0|1>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -166,7 +168,12 @@ int cmd_run(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
   const std::string cmd = argv[1];
-  if (cmd == "emit") return cmd_emit(argc, argv);
-  if (cmd == "run") return cmd_run(argc, argv);
+  try {
+    if (cmd == "emit") return cmd_emit(argc, argv);
+    if (cmd == "run") return cmd_run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "qavat-fleet: %s\n", e.what());
+    return 1;
+  }
   return usage(argv[0]);
 }
