@@ -18,6 +18,7 @@
 #include "bench_common.h"
 #include "bench_json.h"
 #include "eval/fleet.h"
+#include "tensor/env.h"
 
 using namespace qavat;
 using namespace qavat::bench;
@@ -120,13 +121,13 @@ int main() {
   study.lifetime.policy = policies[1].policy;
   study.lifetime.n_steps = fast_mode() ? 16 : 48;
   study.lifetime.checkpoint_every = fast_mode() ? 8 : 24;
-  const char* old_store = std::getenv("QAVAT_STORE");
+  const std::string old_store = env_text("QAVAT_STORE");
   setenv("QAVAT_STORE", "0", 1);
   const auto t0 = std::chrono::steady_clock::now();
   (void)fleet.run(study);
   const auto t1 = std::chrono::steady_clock::now();
-  if (old_store != nullptr) {
-    setenv("QAVAT_STORE", old_store, 1);
+  if (!old_store.empty()) {
+    setenv("QAVAT_STORE", old_store.c_str(), 1);
   } else {
     unsetenv("QAVAT_STORE");
   }

@@ -25,6 +25,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +37,7 @@
 #include "eval/runner.h"
 #include "eval/scenario.h"
 #include "eval/store.h"
+#include "tensor/env.h"
 
 namespace fs = std::filesystem;
 using namespace qavat;
@@ -104,11 +106,13 @@ bool read_all(int fd, void* buf, size_t n) {
 int main(int argc, char** argv) {
   int workers = 2;
   for (int i = 1; i < argc; ++i) {
+    long long k = 0;
     if (std::strcmp(argv[i], "--workers") != 0 || i + 1 >= argc ||
-        !parse_positive_count(argv[++i], &workers)) {
+        !parse_int(argv[++i], 1, INT_MAX, &k)) {
       std::fprintf(stderr, "usage: %s [--workers K]  (K >= 1)\n", argv[0]);
       return 2;
     }
+    workers = static_cast<int>(k);
   }
 
   // Fresh private stores: one shared by all workers (cold, contended),
@@ -122,6 +126,7 @@ int main(int argc, char** argv) {
   fs::remove_all(base, ec);
   fs::create_directories(shared_store);
   fs::create_directories(ref_store);
+  ::setenv("QAVAT_STORE", "1", 1);  // the test is about the store
 
   const size_t n_values = 3 * sweep_manifest().specs.size();
   std::vector<pid_t> pids;

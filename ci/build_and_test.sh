@@ -42,8 +42,7 @@ run_suite "${DEBUG_BUILD_DIR}" Debug
 # model forwards on several pool workers at once. test_runner covers
 # run_all's training lanes: whole training units, the shared model
 # cache and concurrent store publishes. test_lifetime and test_runner
-# run on their own private stores and need persistence, so they keep
-# the store on.
+# turn the store on themselves, on their own private stores.
 # Probed at runtime: hosts whose toolchain lacks the TSan runtime skip
 # gracefully instead of failing.
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${REPO_ROOT}/build-tsan}"
@@ -61,9 +60,7 @@ if "${CXX:-c++}" -fsanitize=thread "${TSAN_PROBE}/probe.cc" \
   for t in test_gemm test_conv_ops test_thread_pool test_eval_batched \
            test_lifetime test_runner; do
     echo "-- tsan ${t} --"
-    store=0
-    if [[ "${t}" == test_lifetime || "${t}" == test_runner ]]; then store=1; fi
-    QAVAT_FAST=1 QAVAT_STORE="${store}" QAVAT_THREADS=4 "${TSAN_BUILD_DIR}/${t}"
+    QAVAT_FAST=1 QAVAT_STORE=0 QAVAT_THREADS=4 "${TSAN_BUILD_DIR}/${t}"
   done
   echo "tsan: OK (test_gemm test_conv_ops test_thread_pool" \
        "test_eval_batched test_lifetime test_runner, QAVAT_THREADS=4)"
@@ -81,11 +78,13 @@ fi
 # evaluate_under_variability through the shared chip-lane engine.
 # test_gemm covers the GEMM register tile's partial widths (the
 # overlapping last tile and the narrow panel), where a read of B or a
-# write of C past the last column would hide. The store
-# tests, test_runner and test_lifetime run on their own private stores
-# and need persistence, so they keep the store on. The flags go through
-# CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS, so the pass needs no CMake
-# option. Probed at runtime like the TSan pass.
+# write of C past the last column would hide. test_env covers the one
+# reader of environment and argv text, where an overflowing parse or
+# backoff shift would hide. The store tests, test_runner and
+# test_lifetime turn the store on themselves, on their own private
+# stores. The flags go through CMAKE_CXX_FLAGS/CMAKE_EXE_LINKER_FLAGS,
+# so the pass needs no CMake option. Probed at runtime like the TSan
+# pass.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${REPO_ROOT}/build-asan}"
 ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 if "${CXX:-c++}" ${ASAN_FLAGS} "${TSAN_PROBE}/probe.cc" \
@@ -97,15 +96,11 @@ if "${CXX:-c++}" ${ASAN_FLAGS} "${TSAN_PROBE}/probe.cc" \
         -DCMAKE_EXE_LINKER_FLAGS="${ASAN_FLAGS}"
   ASAN_TESTS=(test_scenario_json test_lifetime test_fuzz_decoders
               test_eval_batched test_store test_store_faults test_train_smoke
-              test_runner test_int_ops test_conv_ops test_gemm)
+              test_runner test_int_ops test_conv_ops test_gemm test_env)
   cmake --build "${ASAN_BUILD_DIR}" -j "${JOBS}" --target "${ASAN_TESTS[@]}"
   for t in "${ASAN_TESTS[@]}"; do
     echo "-- asan+ubsan ${t} --"
-    store=0
-    case "${t}" in
-      test_lifetime | test_store | test_store_faults | test_runner) store=1 ;;
-    esac
-    QAVAT_FAST=1 QAVAT_STORE="${store}" "${ASAN_BUILD_DIR}/${t}"
+    QAVAT_FAST=1 QAVAT_STORE=0 "${ASAN_BUILD_DIR}/${t}"
   done
   echo "asan+ubsan: OK (${ASAN_TESTS[*]})"
 else
@@ -123,7 +118,7 @@ trap - EXIT
 # docs fails the build via set -e.
 DOC_HEADERS=(pim/chip.h pim/tiling.h eval/evaluator.h eval/scenario.h
              eval/manifest.h eval/store.h eval/runner.h eval/fleet.h
-             tensor/workspace.h tensor/json.h
+             tensor/workspace.h tensor/json.h tensor/env.h
              tensor/conv_ops.h tensor/ops.h tensor/serialize.h
              tensor/int_ops.h tensor/thread_pool.h
              core/quant/int8_backend.h core/variability/lifetime.h)

@@ -187,8 +187,8 @@ Tensor Module::forward(const Tensor& x) {
   Tensor h = x;
   for (auto& layer : layers_) h = layer->forward(h);
   // Scratch slots are dead between top-level passes; enforce the
-  // QAVAT_WORKSPACE_MB retention cap here (Workspace lifetime contract).
-  workspace_.trim(Workspace::cap_bytes_from_env());
+  // retention cap here (Workspace lifetime contract).
+  workspace_.trim(Workspace::kCapBytes);
   return h;
 }
 
@@ -198,7 +198,7 @@ void Module::backward(const Tensor& grad_logits) {
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
     g = (*it)->backward(g);
   }
-  workspace_.trim(Workspace::cap_bytes_from_env());
+  workspace_.trim(Workspace::kCapBytes);
 }
 
 std::vector<Param*> Module::parameters() {

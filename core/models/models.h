@@ -58,7 +58,7 @@ class Module {
 
   /// Scratch arena shared by every layer of this model (DESIGN.md §8):
   /// sized once per (shape, batch) and reused across Monte-Carlo chips
-  /// and training steps; forward/backward trim it to QAVAT_WORKSPACE_MB.
+  /// and training steps; forward/backward trim it to Workspace::kCapBytes.
   Workspace& workspace() { return workspace_; }
 
  private:

@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 
 #include "core/quant/int8_backend.h"
 #include "pim/tiling.h"
+#include "tensor/env.h"
 #include "tensor/parallel_for.h"
 
 namespace qavat {
@@ -101,7 +101,7 @@ void evaluate_circuit_lane(Module& replica, const Dataset& test,
                            index_t* hits) {
   auto qlayers = replica.quant_layers();
   const index_t tile =
-      ecfg.tile_size > 0 ? ecfg.tile_size : tile_size_from_env();
+      ecfg.tile_size > 0 ? ecfg.tile_size : kDefaultTileSize;
   CrossbarConfig ccfg;
   ccfg.variability = vcfg;
   // Periphery stays ideal: DAC/ADC precision is already modeled digitally
@@ -241,36 +241,17 @@ const char* to_string(EvalBackend backend) {
 }
 
 EvalBackend eval_backend_from_env() {
-  // Parsed per call, NOT cached: one test binary flips the variable to
-  // exercise all three backends in a single run (the old function-local
-  // static pinned the first value for the process lifetime).
-  const char* v = std::getenv("QAVAT_EVAL_BACKEND");
-  if (v == nullptr || v[0] == '\0' || std::strcmp(v, "weight_domain") == 0) {
-    return EvalBackend::kWeightDomain;
-  }
-  if (std::strcmp(v, "circuit") == 0) return EvalBackend::kCircuit;
-  if (std::strcmp(v, "int8") == 0) return EvalBackend::kInt8;
-  // A typo must not silently publish weight-domain numbers as
-  // "circuit-level" or "int8" ones. Warn once per process, not per call
-  // (and not once per racing thread).
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    std::fprintf(stderr,
-                 "qavat: unrecognized QAVAT_EVAL_BACKEND=\"%s\" "
-                 "(expected \"weight_domain\", \"circuit\" or \"int8\"); "
-                 "using weight_domain\n",
-                 v);
-  }
-  return EvalBackend::kWeightDomain;
+  // Read per call, NOT cached: one test binary flips the variable to
+  // exercise all three backends in a single run. A typo warns: it must
+  // not silently publish weight-domain numbers as circuit or int8 ones.
+  // The tokens are in EvalBackend declaration order.
+  return static_cast<EvalBackend>(env_choice(
+      "QAVAT_EVAL_BACKEND", {"weight_domain", "circuit", "int8"}, 0));
 }
 
 index_t chip_batch_from_env() {
-  const char* v = std::getenv("QAVAT_CHIP_BATCH");
-  if (v != nullptr && v[0] != '\0') {
-    const long long n = std::strtoll(v, nullptr, 10);
-    if (n >= 1) return static_cast<index_t>(n);
-  }
-  return kDefaultChipBatch;
+  return env_int("QAVAT_CHIP_BATCH", kDefaultChipBatch, 1,
+                 std::numeric_limits<index_t>::max());
 }
 
 EvalStats evaluate_under_variability(Module& model, const Dataset& test,

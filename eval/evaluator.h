@@ -67,8 +67,8 @@ enum class EvalBackend {
   /// run the normal GEMM forward (fast; supports chip batching).
   kWeightDomain,
   /// Program each layer's quantized weights across tiled <= 512x512
-  /// crossbar arrays (QAVAT_TILE_SIZE) on a simulated PimChip and route
-  /// every analog MVM through the circuit simulator; the self-tuning
+  /// crossbar arrays (EvalConfig::tile_size) on a simulated PimChip and
+  /// route every analog MVM through the circuit simulator; the self-tuning
   /// eps_hat comes from real per-array GTM spare columns. One chip at a
   /// time within each chip lane (chip_batch is ignored; lanes program
   /// their chips concurrently) and O(arrays) programming per chip — meant
@@ -93,16 +93,16 @@ enum class EvalBackend {
 /// use.
 const char* to_string(EvalBackend backend);
 
-/// QAVAT_EVAL_BACKEND as an EvalBackend: "circuit" selects kCircuit,
-/// "int8" kInt8, anything else (or unset) kWeightDomain. Re-read from the
-/// environment on EVERY call (tests flip the variable between scenarios);
-/// an unknown value warns once per process. Applied by
+/// QAVAT_EVAL_BACKEND as an EvalBackend: exactly "weight_domain",
+/// "circuit" or "int8"; unset, empty or anything else (which warns once
+/// per process) is kWeightDomain. Re-read from the environment on EVERY
+/// call (tests flip the variable between scenarios). Applied by
 /// default_eval_config(), not by evaluate_under_variability.
 EvalBackend eval_backend_from_env();
 
-/// QAVAT_CHIP_BATCH as a chip-group size: its value when it parses as an
-/// integer >= 1, else the default 8. Re-read from the environment on
-/// EVERY call. Applied by default_eval_config() and by fleet lifetime
+/// QAVAT_CHIP_BATCH as a chip-group size: an integer >= 1, else (with
+/// the tensor/env.h warning) the default 8. Re-read from the environment
+/// on EVERY call. Applied by default_eval_config() and by fleet lifetime
 /// studies (eval/fleet.h); result-invariant, so never part of a store
 /// key.
 index_t chip_batch_from_env();
@@ -122,7 +122,7 @@ struct EvalConfig {
                            ///< per lane).
   EvalBackend backend = EvalBackend::kWeightDomain;  ///< chip realization
   index_t tile_size = 0;   ///< circuit backend: max crossbar side length;
-                           ///< 0 = QAVAT_TILE_SIZE (default 512)
+                           ///< 0 = kDefaultTileSize (512)
 };
 
 /// The chip-group sampler: prepare_noise_group for `nb` chips, then chips

@@ -1,21 +1,18 @@
 #include "eval/experiment.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <vector>
 
 #include "eval/store.h"
+#include "tensor/env.h"
 
 namespace qavat {
 
 bool fast_mode() {
-  static const bool fast = [] {
-    const char* v = std::getenv("QAVAT_FAST");
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-  }();
+  static const bool fast = env_flag("QAVAT_FAST", false);
   return fast;
 }
 
@@ -300,8 +297,7 @@ EvalConfig default_eval_config(ModelKind kind) {
   // eval/evaluator.h). QAVAT_CHIP_BATCH overrides.
   cfg.chip_batch = chip_batch_from_env();
   // QAVAT_EVAL_BACKEND=circuit routes every bench evaluation through the
-  // tiled crossbar simulator (sequential; see eval/evaluator.h). The
-  // tile size stays 0 here so the evaluator resolves QAVAT_TILE_SIZE.
+  // tiled crossbar simulator (see eval/evaluator.h) at the default tile.
   cfg.backend = eval_backend_from_env();
   (void)kind;
   return cfg;

@@ -34,8 +34,8 @@
 
 namespace qavat {
 
-/// True when QAVAT_FAST=1 (or any non-empty value but "0") is set in the
-/// environment: smaller datasets, fewer epochs, fewer Monte-Carlo chips.
+/// The QAVAT_FAST flag (default 0; tensor/env.h rules), read once per
+/// process: smaller datasets, fewer epochs, fewer Monte-Carlo chips.
 bool fast_mode();
 
 /// Memoize a full Monte-Carlo evaluation under `key`: the per-chip

@@ -1,6 +1,5 @@
 #include "eval/manifest.h"
 
-#include <climits>
 #include <cstdio>
 #include <utility>
 
@@ -128,33 +127,6 @@ bool read_spec_file(const std::string& path, std::string* text,
   std::fclose(f);
   if (!read_ok) return fail(error, "read of '" + path + "' failed");
   *text = std::move(out);
-  return true;
-}
-
-std::vector<SweepManifest> shard_manifest(const SweepManifest& m, int k) {
-  if (k < 1) k = 1;
-  std::vector<SweepManifest> shards(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    shards[static_cast<std::size_t>(i)].name = m.name + ".shard" +
-                                               std::to_string(i) + "of" +
-                                               std::to_string(k);
-  }
-  for (std::size_t s = 0; s < m.specs.size(); ++s) {
-    shards[s % static_cast<std::size_t>(k)].specs.push_back(m.specs[s]);
-  }
-  return shards;
-}
-
-bool parse_positive_count(const char* text, int* out) {
-  if (*text == '\0') return false;
-  long long v = 0;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return false;
-    v = v * 10 + (*p - '0');
-    if (v > INT_MAX) return false;  // before the next digit can overflow
-  }
-  if (v < 1) return false;
-  *out = static_cast<int>(v);
   return true;
 }
 

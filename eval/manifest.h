@@ -64,23 +64,6 @@ bool write_spec_file(const std::string& path, const std::string& text,
 bool read_spec_file(const std::string& path, std::string* text,
                     std::string* error = nullptr);
 
-/// Split a manifest into `k` disjoint round-robin shards for hosts that
-/// do NOT share a store (the work-claim protocol needs a common
-/// filesystem; disjoint manifests are the coordination-free fallback):
-/// shard i holds specs i, i+k, i+2k, ... in manifest order and is named
-/// "<name>.shard<i>of<k>". The shards partition the grid losslessly —
-/// every spec lands in exactly one shard, and interleaving the shards
-/// back in round-robin order reproduces the original spec sequence.
-/// k < 1 is clamped to 1 (one shard = a renamed copy).
-std::vector<SweepManifest> shard_manifest(const SweepManifest& m, int k);
-
-/// Strict parse of a shard or process count (`qavat-sweep emit
-/// --shards K`, `bench_sweep --workers K`): the whole of `text` must be
-/// decimal digits naming a value in [1, INT_MAX]. Returns false,
-/// leaving *out untouched, on anything else — "abc", "3x", "0", "-2",
-/// "+2", "" or an overflow.
-bool parse_positive_count(const char* text, int* out);
-
 /// Names of the built-in grid generators: the spec grids the stock
 /// benches sweep, exposed as manifests so `qavat-sweep emit <name>`
 /// replaces recompiling a bench to change a campaign. Currently

@@ -96,10 +96,10 @@ std::string ScenarioSpec::key() const {
   if (eval.backend == EvalBackend::kCircuit) {
     // The tile grid changes which array each weight lands on and hence
     // the noise realizations: the effective tile size is part of the
-    // result identity (resolved from the env default exactly like the
+    // result identity (0 resolves to the default exactly like the
     // evaluator does).
-    const index_t tile = eval.tile_size > 0 ? eval.tile_size
-                                            : tile_size_from_env();
+    const index_t tile =
+        eval.tile_size > 0 ? eval.tile_size : kDefaultTileSize;
     k += "ckt" + lld(tile);
   } else if (eval.backend == EvalBackend::kInt8) {
     // The int8 requant grid perturbs per-chip logits relative to the

@@ -8,10 +8,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <system_error>
@@ -19,6 +18,7 @@
 #include <vector>
 
 #include "eval/experiment.h"  // fast_mode(): the budget namespace
+#include "tensor/env.h"
 
 namespace qavat {
 
@@ -89,33 +89,28 @@ bool parse_fault_kind(const std::string& tok, StoreFault* kind) {
   return true;
 }
 
-// Parse QAVAT_STORE_FAULT under st.mu. Unknown tokens are skipped with a
+// Parse QAVAT_STORE_FAULT under st.mu. A bad entry is skipped with the
 // one-time warning (a typo must not silently disable the whole spec).
 void parse_faults_locked(FaultState& st) {
   st.parsed = true;
   st.armed.clear();
   for (int i = 0; i < kNumFaultKinds; ++i) st.op_count[i] = 0;
-  const char* v = std::getenv("QAVAT_STORE_FAULT");
-  if (v == nullptr || v[0] == '\0') return;
-  std::istringstream is(v);
+  std::istringstream is(env_text("QAVAT_STORE_FAULT"));
   std::string entry;
   while (std::getline(is, entry, ',')) {
     if (entry.empty()) continue;
-    std::string tok = entry;
-    long long at = 1;
     const std::size_t colon = entry.find(':');
-    if (colon != std::string::npos) {
-      tok = entry.substr(0, colon);
-      at = std::strtoll(entry.c_str() + colon + 1, nullptr, 10);
-      if (at < 1) at = 1;
-    }
     ArmedFault f;
-    if (!parse_fault_kind(tok, &f.kind)) {
-      std::fprintf(stderr, "qavat: unknown QAVAT_STORE_FAULT kind '%s'\n",
-                   tok.c_str());
+    if (!parse_fault_kind(entry.substr(0, colon), &f.kind) ||
+        (colon != std::string::npos &&
+         !parse_int(entry.c_str() + colon + 1, 1,
+                    std::numeric_limits<long long>::max(), &f.at))) {
+      env_warn("QAVAT_STORE_FAULT", entry,
+               "kill_before_rename, torn_write, enospc or corrupt_read, "
+               "optionally with :N for an integer N >= 1",
+               "none");
       continue;
     }
-    f.at = at;
     st.armed.push_back(f);
   }
 }
@@ -252,10 +247,7 @@ fs::path tmp_path_for(const fs::path& path) {
   return os.str();
 }
 
-bool store_fsync_enabled() {
-  const char* v = std::getenv("QAVAT_STORE_FSYNC");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
+bool store_fsync_enabled() { return env_flag("QAVAT_STORE_FSYNC", false); }
 
 void fsync_path(const fs::path& p) {
   const int fd = ::open(p.c_str(), O_RDONLY);
@@ -351,15 +343,10 @@ bool reject_corrupt(const fs::path& path, StoreLoadOutcome* outcome) {
 
 }  // namespace
 
-bool store_enabled() {
-  const char* v = std::getenv("QAVAT_STORE");
-  return v == nullptr || v[0] != '0';
-}
+bool store_enabled() { return env_flag("QAVAT_STORE", true); }
 
 std::string store_root() {
-  const char* v = std::getenv("QAVAT_STORE_DIR");
-  if (v != nullptr && v[0] != '\0') return v;
-  return "artifacts/store";
+  return env_text("QAVAT_STORE_DIR", "artifacts/store");
 }
 
 std::string store_quarantine_dir() { return store_root() + "/quarantine"; }
@@ -490,22 +477,12 @@ void store_note_retrain_after_corruption() {
 // ------------------------------------------------- work-claim protocol
 
 double store_claim_ttl_seconds() {
-  const char* v = std::getenv("QAVAT_CLAIM_TTL_S");
-  if (v != nullptr && v[0] != '\0') {
-    char* end = nullptr;
-    const double d = std::strtod(v, &end);
-    if (end != v && d >= 0.0) return d;
-  }
-  return 120.0;
+  return env_real("QAVAT_CLAIM_TTL_S", 120.0, 0.0,
+                  std::numeric_limits<double>::infinity());
 }
 
 long long store_claim_backoff_ms() {
-  const char* v = std::getenv("QAVAT_CLAIM_BACKOFF_MS");
-  if (v != nullptr && v[0] != '\0') {
-    const long long n = std::strtoll(v, nullptr, 10);
-    if (n >= 0) return n;
-  }
-  return 25;
+  return env_int("QAVAT_CLAIM_BACKOFF_MS", 25, 0, 2000);
 }
 
 struct StoreClaim::Impl {
@@ -789,16 +766,12 @@ StoreVerifyResult store_verify_all(bool quarantine_bad) {
     bool ok = read_artifact(p, &bytes);
     if (ok) {
       // Sniff the format from the leading bytes: state-dict envelopes
-      // start with the "QVSD" magic (tensors "QVTN"), double vectors
-      // with the "qavat-doubles" header line.
+      // start with the "QVSD" magic, double vectors with the
+      // "qavat-doubles" header line.
       if (bytes.rfind("QVSD", 0) == 0) {
         StateDict sd;
         std::istringstream is(bytes);
         ok = load_state_dict(is, &sd);
-      } else if (bytes.rfind("QVTN", 0) == 0) {
-        Tensor t;
-        std::istringstream is(bytes);
-        ok = load_tensor(is, &t);
       } else if (bytes.rfind("qavat-doubles", 0) == 0) {
         std::vector<double> v;
         ok = parse_doubles(bytes, &v);

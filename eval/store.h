@@ -46,8 +46,8 @@ inline constexpr int kStoreSchemaVersion = 1;
 /// from a real crash.
 inline constexpr int kFaultKillExitCode = 42;
 
-/// True unless QAVAT_STORE=0 (or any value whose first char is '0').
-/// Re-read from the environment on every call so tests can toggle it.
+/// The QAVAT_STORE flag (default 1; tensor/env.h rules). Re-read from
+/// the environment on every call so tests can toggle it.
 bool store_enabled();
 
 /// Store root: QAVAT_STORE_DIR, or "artifacts/store" (relative to the
@@ -243,21 +243,23 @@ ClaimWait claim_or_load(const char* bucket, const std::string& key,
 /// doesn't stampede the filesystem in lockstep.
 void store_claim_backoff_wait(int attempt);
 
-/// Lease TTL in seconds (QAVAT_CLAIM_TTL_S, default 120; fractional
-/// values allowed, 0 makes every existing claim immediately stale).
-/// Re-read from the environment on every call.
+/// Lease TTL in seconds (QAVAT_CLAIM_TTL_S, a real >= 0, default 120;
+/// 0 makes every existing claim immediately stale). Re-read from the
+/// environment on every call.
 double store_claim_ttl_seconds();
 
-/// Base waiter backoff in milliseconds (QAVAT_CLAIM_BACKOFF_MS,
-/// default 25). Re-read from the environment on every call.
+/// Base waiter backoff in milliseconds (QAVAT_CLAIM_BACKOFF_MS, an
+/// integer in [0, 2000], default 25). Re-read from the environment on
+/// every call.
 long long store_claim_backoff_ms();
 
 // ------------------------------------------------------ fault injection
 
 /// Deterministic fault-injection points, armed via
-/// QAVAT_STORE_FAULT="kind:N[,kind:N...]" where N is the 1-based count
-/// of the matching operation at which the fault fires, once per entry
-/// (repeat an entry to fire again later). Parsed lazily at first store
+/// QAVAT_STORE_FAULT="kind:N[,kind:N...]" where N (>= 1, default 1) is
+/// the 1-based count of the matching operation at which the fault fires,
+/// once per entry (repeat an entry to fire again later); a bad entry
+/// warns and is skipped. Parsed lazily at first store
 /// operation; call store_fault_reload() after changing the variable
 /// mid-process.
 enum class StoreFault {

@@ -1,8 +1,6 @@
 #include "pim/tiling.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -10,25 +8,6 @@
 #include "tensor/parallel_for.h"
 
 namespace qavat {
-
-index_t tile_size_from_env() {
-  static const index_t tile = [] {
-    const char* v = std::getenv("QAVAT_TILE_SIZE");
-    if (v != nullptr && v[0] != '\0') {
-      char* end = nullptr;
-      const long n = std::strtol(v, &end, 10);
-      // Full-string parse only: a partial parse ("5.12", "4O0") would
-      // silently run a wildly different array geometry than intended.
-      if (end != v && *end == '\0' && n > 0) return static_cast<index_t>(n);
-      std::fprintf(stderr,
-                   "qavat: unrecognized QAVAT_TILE_SIZE=\"%s\" "
-                   "(expected a positive integer); using 512\n",
-                   v);
-    }
-    return index_t{512};
-  }();
-  return tile;
-}
 
 TilePlan TilePlan::make(index_t out, index_t in, index_t tile) {
   if (out <= 0 || in <= 0) {
@@ -39,7 +18,7 @@ TilePlan TilePlan::make(index_t out, index_t in, index_t tile) {
   TilePlan p;
   p.out = out;
   p.in = in;
-  p.tile = tile > 0 ? tile : tile_size_from_env();
+  p.tile = tile > 0 ? tile : kDefaultTileSize;
   return p;
 }
 

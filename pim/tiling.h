@@ -1,6 +1,6 @@
 // Crossbar tiling: partition one layer's {out, in} weight matrix across
 // multiple physical arrays of bounded geometry (<= 512x512 by default,
-// QAVAT_TILE_SIZE overrides) and run the circuit-level MVM through them.
+// EvalConfig::tile_size overrides) and run the circuit-level MVM through them.
 // Following the Halide algorithm/schedule split, TilePlan is the pure
 // partition description and TiledCrossbarLayer the kernel that consumes
 // it; the math never changes with the tile grid.
@@ -24,9 +24,8 @@
 
 namespace qavat {
 
-/// QAVAT_TILE_SIZE (positive integer) as the max crossbar side length;
-/// default 512. Resolved once and cached.
-index_t tile_size_from_env();
+/// Max crossbar side length when a caller asks for the default (tile 0).
+inline constexpr index_t kDefaultTileSize = 512;
 
 /// Pure description of how a {out, in} weight matrix partitions into a
 /// grid of <= tile x tile sub-arrays: row tile i covers output rows
@@ -47,7 +46,7 @@ struct TilePlan {
   };
 
   /// Build the plan for a {out, in} matrix; `tile` <= 0 selects
-  /// QAVAT_TILE_SIZE (default 512). Throws std::invalid_argument on
+  /// kDefaultTileSize. Throws std::invalid_argument on
   /// non-positive dimensions.
   static TilePlan make(index_t out, index_t in, index_t tile = 0);
 

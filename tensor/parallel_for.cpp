@@ -1,9 +1,9 @@
 #include "tensor/parallel_for.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 
+#include "tensor/env.h"
 #include "tensor/thread_pool.h"
 
 namespace qavat {
@@ -22,13 +22,9 @@ void set_in_parallel_region(bool on) { tl_in_parallel_region = on; }
 namespace {
 
 index_t resolve_threads_from_env() {
-  const char* v = std::getenv("QAVAT_THREADS");
-  if (v != nullptr && v[0] != '\0') {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n > 0) return std::min<index_t>(static_cast<index_t>(n), 512);
-  }
   const unsigned hc = std::thread::hardware_concurrency();
-  return hc > 0 ? static_cast<index_t>(hc) : 1;
+  return env_int("QAVAT_THREADS", hc > 0 ? static_cast<index_t>(hc) : 1, 1,
+                 512);
 }
 
 // Cached budget; 0 = unresolved (next num_threads() reads the env).

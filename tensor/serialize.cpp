@@ -17,7 +17,6 @@ constexpr std::uint64_t kMaxEntries = 1ull << 20;
 constexpr std::uint64_t kMaxNameLen = 1ull << 12;
 constexpr std::uint32_t kMaxNdim = 16;
 
-constexpr char kTensorMagic[4] = {'Q', 'V', 'T', 'N'};
 constexpr char kDictMagic[4] = {'Q', 'V', 'S', 'D'};
 
 // Process-wide envelope read counters (serialize_read_stats()). Relaxed:
@@ -103,10 +102,9 @@ struct Cursor {
 };
 
 // Envelope: magic, version, payload size, payload bytes, FNV-1a of the
-// payload. One writer/reader pair shared by both artifact kinds.
-void write_envelope(std::ostream& os, const char magic[4],
-                    const std::string& payload) {
-  os.write(magic, 4);
+// payload.
+void write_envelope(std::ostream& os, const std::string& payload) {
+  os.write(kDictMagic, 4);
   const std::uint32_t version = kSerializeVersion;
   os.write(reinterpret_cast<const char*>(&version), sizeof(version));
   const std::uint64_t size = payload.size();
@@ -116,12 +114,11 @@ void write_envelope(std::ostream& os, const char magic[4],
   os.write(reinterpret_cast<const char*>(&hash), sizeof(hash));
 }
 
-bool read_envelope_impl(std::istream& is, const char magic[4],
-                        std::string* payload) {
+bool read_envelope_impl(std::istream& is, std::string* payload) {
   char m[4];
   std::uint32_t version = 0;
   std::uint64_t size = 0;
-  if (!is.read(m, 4) || std::memcmp(m, magic, 4) != 0) return false;
+  if (!is.read(m, 4) || std::memcmp(m, kDictMagic, 4) != 0) return false;
   if (!is.read(reinterpret_cast<char*>(&version), sizeof(version)) ||
       version != kSerializeVersion) {
     return false;
@@ -141,9 +138,8 @@ bool read_envelope_impl(std::istream& is, const char magic[4],
 }
 
 // Counting wrapper: every envelope read lands in serialize_read_stats().
-bool read_envelope(std::istream& is, const char magic[4],
-                   std::string* payload) {
-  const bool ok = read_envelope_impl(is, magic, payload);
+bool read_envelope(std::istream& is, std::string* payload) {
+  const bool ok = read_envelope_impl(is, payload);
   (ok ? verified_counter() : failed_counter())
       .fetch_add(1, std::memory_order_relaxed);
   return ok;
@@ -181,22 +177,6 @@ const double* StateDict::find_scalar(const std::string& name) const {
   return nullptr;
 }
 
-void save_tensor(std::ostream& os, const Tensor& t) {
-  std::string payload;
-  put_tensor(payload, t);
-  write_envelope(os, kTensorMagic, payload);
-}
-
-bool load_tensor(std::istream& is, Tensor* out) {
-  std::string payload;
-  if (!read_envelope(is, kTensorMagic, &payload)) return false;
-  Cursor c{payload.data(), payload.data() + payload.size()};
-  Tensor t;
-  if (!c.get_tensor(&t) || c.p != c.end) return false;
-  *out = std::move(t);
-  return true;
-}
-
 void save_state_dict(std::ostream& os, const StateDict& sd) {
   std::string payload;
   put<std::uint64_t>(payload, sd.tensors.size());
@@ -209,12 +189,12 @@ void save_state_dict(std::ostream& os, const StateDict& sd) {
     put_string(payload, kv.first);
     put<double>(payload, kv.second);
   }
-  write_envelope(os, kDictMagic, payload);
+  write_envelope(os, payload);
 }
 
 bool load_state_dict(std::istream& is, StateDict* out) {
   std::string payload;
-  if (!read_envelope(is, kDictMagic, &payload)) return false;
+  if (!read_envelope(is, &payload)) return false;
   Cursor c{payload.data(), payload.data() + payload.size()};
   StateDict sd;
   std::uint64_t n_tensors = 0;

@@ -1,4 +1,4 @@
-// Versioned binary serialization for tensors and model state. A
+// Versioned binary serialization for model state. A
 // StateDict is an ordered bag of named tensors and named scalars — the
 // persistence unit the artifact store (eval/store.h) writes to disk so
 // trained models survive the process. The format carries a magic tag, a
@@ -64,13 +64,6 @@ struct StateDict {
   /// First scalar with this name, or nullptr.
   const double* find_scalar(const std::string& name) const;
 };
-
-/// Write one tensor (magic "QVTN" + version + payload + checksum).
-void save_tensor(std::ostream& os, const Tensor& t);
-
-/// Read a tensor written by save_tensor. Returns false — leaving *out
-/// untouched — on any malformed, truncated or version-mismatched input.
-bool load_tensor(std::istream& is, Tensor* out);
 
 /// Write a state dict (magic "QVSD" + version + payload + checksum).
 void save_state_dict(std::ostream& os, const StateDict& sd);

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <mutex>
@@ -48,6 +47,12 @@ thread_local int tl_deque = -1;
 // detail::in_parallel_region().
 thread_local int tl_span_depth = 0;
 
+// How long an idle worker spins polling for new work before parking on
+// the condition variable: the gap between consecutive dispatches inside
+// a kernel loop is microseconds, and a futex sleep/wake round trip costs
+// more than the whole gap.
+constexpr std::chrono::microseconds kSpin{50};
+
 }  // namespace
 
 struct ThreadPool::Impl {
@@ -66,7 +71,6 @@ struct ThreadPool::Impl {
   std::vector<std::thread> threads;
   bool running = false;
   bool shutdown = false;
-  index_t spin_us = 0;
   // Bumped (under mu) on every push and every job completion; sleepers
   // wait for it to move. Atomic so spinning workers can poll it
   // without taking the lock.
@@ -173,20 +177,15 @@ void ThreadPool::Impl::worker_main(int idx) {
     }
     if (shutdown) break;  // honored only once every queue is drained
     const std::uint64_t seen = epoch.load(std::memory_order_relaxed);
-    if (spin_us > 0) {
-      // Spin briefly before parking: the gap between consecutive
-      // dispatches inside a kernel loop is microseconds, and a futex
-      // sleep/wake round trip costs more than the whole gap.
-      lk.unlock();
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(spin_us);
-      while (epoch.load(std::memory_order_relaxed) == seen &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
-      }
-      lk.lock();
-      if (epoch.load(std::memory_order_relaxed) != seen || shutdown) continue;
+    // Spin briefly (kSpin) before parking.
+    lk.unlock();
+    const auto deadline = std::chrono::steady_clock::now() + kSpin;
+    while (epoch.load(std::memory_order_relaxed) == seen &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
     }
+    lk.lock();
+    if (epoch.load(std::memory_order_relaxed) != seen || shutdown) continue;
     cv.wait(lk, [&] {
       return shutdown || epoch.load(std::memory_order_relaxed) != seen;
     });
@@ -200,7 +199,6 @@ void ThreadPool::Impl::start_locked() {
   if (running) return;
   detail::refresh_thread_budget_from_env();
   const index_t nworkers = std::max<index_t>(index_t{0}, num_threads() - 1);
-  spin_us = spin_us_from_env();
   shutdown = false;
   deques.assign(static_cast<std::size_t>(nworkers) + 1,
                 std::deque<Task>());
@@ -294,18 +292,6 @@ void ThreadPool::stop() {
 index_t ThreadPool::live_workers() const {
   std::lock_guard<std::mutex> lk(impl_->mu);
   return static_cast<index_t>(impl_->threads.size());
-}
-
-index_t ThreadPool::spin_us_from_env() {
-  const char* v = std::getenv("QAVAT_POOL_SPIN_US");
-  if (v != nullptr && v[0] != '\0') {
-    char* endp = nullptr;
-    const long n = std::strtol(v, &endp, 10);
-    if (endp != v && *endp == '\0' && n >= 0) {
-      return std::min<index_t>(static_cast<index_t>(n), index_t{1000000});
-    }
-  }
-  return 50;
 }
 
 }  // namespace qavat

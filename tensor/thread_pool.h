@@ -1,8 +1,8 @@
 // Persistent work-stealing thread pool behind parallel_for (DESIGN.md
 // §13). One process-wide pool replaces the per-call std::thread fork-join
 // dispatcher: workers start lazily on the first parallel dispatch, park
-// on a condition variable (after a short spin — QAVAT_POOL_SPIN_US)
-// between jobs, and stay alive until set_num_threads() or process exit.
+// on a condition variable (after a 50 µs spin) between jobs, and stay
+// alive until set_num_threads() or process exit.
 //
 // Scheduling model: a dispatch ("job") is split into at most
 // num_threads() contiguous, grain-aligned index spans — the exact
@@ -63,11 +63,6 @@ class ThreadPool {
   /// Pool worker threads currently alive (num_threads() - 1 while
   /// running, 0 after stop()); the dispatching caller is the extra hand.
   index_t live_workers() const;
-
-  /// Microseconds a worker spins polling for new work before parking on
-  /// the condition variable: QAVAT_POOL_SPIN_US (>= 0, full-string
-  /// integer parse), default 50. Re-read on every pool (re)start.
-  static index_t spin_us_from_env();
 
  private:
   ThreadPool();

@@ -98,18 +98,4 @@ void Workspace::release(const void* owner) {
   }
 }
 
-std::size_t Workspace::cap_bytes_from_env() {
-  static const std::size_t cap = [] {
-    const char* env = std::getenv("QAVAT_WORKSPACE_MB");
-    long mb = 256;
-    if (env != nullptr) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && v > 0) mb = v;
-    }
-    return static_cast<std::size_t>(mb) * (std::size_t{1} << 20);
-  }();
-  return cap;
-}
-
 }  // namespace qavat

@@ -36,11 +36,11 @@
 //    than the scope-opening driver aborts with a diagnostic instead of
 //    silently corrupting scratch.
 //
-// The retained footprint is capped by QAVAT_WORKSPACE_MB (default 256):
-// Module::forward/backward call trim(cap_bytes_from_env()) after each
-// pass, which frees least-recently-used slots until under the cap. A cap
-// smaller than one layer's working set is honored best-effort (the live
-// pass always gets its buffers; eviction happens between passes).
+// The retained footprint is capped at kCapBytes (256 MB):
+// Module::forward/backward call trim(kCapBytes) after each pass, which
+// frees least-recently-used slots until under the cap. A cap smaller
+// than one layer's working set is honored best-effort (the live pass
+// always gets its buffers; eviction happens between passes).
 #pragma once
 
 #include <atomic>
@@ -54,7 +54,7 @@
 namespace qavat {
 
 /// Keyed scratch arena: persistently-sized float buffers handed out by
-/// (owner pointer, slot id), LRU-trimmed to QAVAT_WORKSPACE_MB. Sizes are
+/// (owner pointer, slot id), LRU-trimmed to kCapBytes. Sizes are
 /// element counts (4-byte floats); shapes follow the tensor conventions
 /// ({rows, cols} matrices, {N, C, H, W} images). NOT thread-safe — one
 /// workspace per model, driven from the single thread that runs
@@ -103,9 +103,8 @@ class Workspace {
   /// retention cap. Invalidates references to the freed slots.
   void release(const void* owner);
 
-  /// QAVAT_WORKSPACE_MB (positive integer, megabytes) as a byte cap;
-  /// default 256 MB. Resolved once and cached.
-  static std::size_t cap_bytes_from_env();
+  /// Retention cap Module::forward/backward trim to after each pass.
+  static constexpr std::size_t kCapBytes = std::size_t{256} << 20;
 
  private:
   struct Entry {

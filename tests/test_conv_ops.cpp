@@ -312,7 +312,7 @@ void check_workspace_steady_state(Rng& rng) {
   pass();
   CHECK(model->workspace().retained_bytes() == warm);
 
-  // The QAVAT_WORKSPACE_MB cap is enforced by trim().
+  // The retention cap is enforced by trim().
   model->workspace().trim(0);
   CHECK(model->workspace().retained_bytes() == 0);
   pass();  // re-grows transparently

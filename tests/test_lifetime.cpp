@@ -855,7 +855,7 @@ void test_fleet_run_and_store(Session& session) {
   }
   set_num_threads(saved_threads);
   ::unsetenv("QAVAT_CHIP_BATCH");
-  ::unsetenv("QAVAT_STORE");
+  ::setenv("QAVAT_STORE", "1", 1);
 
   // Lanes step clones: the session's model comes back without a noise
   // realization in any quant layer.
@@ -911,6 +911,7 @@ int main() {
       fs::temp_directory_path() /
       ("qavat_test_lifetime_" + std::to_string(::getpid()));
   ::setenv("QAVAT_STORE_DIR", store_dir.c_str(), 1);
+  ::setenv("QAVAT_STORE", "1", 1);
 
   test_ou_stationary_moments();
   test_ou_determinism_and_injection();

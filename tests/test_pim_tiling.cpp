@@ -70,8 +70,8 @@ void check_tile_plan_shapes() {
     threw = true;
   }
   CHECK(threw);
-  // tile <= 0 resolves QAVAT_TILE_SIZE (unset in ctest -> 512).
-  CHECK(TilePlan::make(600, 1100).tile == tile_size_from_env());
+  // tile <= 0 resolves the default 512.
+  CHECK(TilePlan::make(600, 1100).tile == 512);
 }
 
 // Noise-free configs: the tiled readout must be BIT-identical to one

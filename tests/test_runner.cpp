@@ -315,6 +315,7 @@ int main() {
        ("qavat-test-runner-" + std::to_string(::getpid())))
           .string();
   ::setenv("QAVAT_STORE_DIR", store_dir.c_str(), 1);
+  ::setenv("QAVAT_STORE", "1", 1);
   ::setenv("QAVAT_CLAIM_BACKOFF_MS", "5", 1);
   std::error_code ec;
   fs::remove_all(store_dir, ec);

@@ -314,55 +314,6 @@ void test_manifest_roundtrip() {
   CHECK(!err.empty());
 }
 
-// shard_manifest must partition the grid losslessly: every spec lands
-// in exactly one shard, and interleaving the shards back in round-robin
-// order reproduces the original spec sequence, for any K (including
-// K > specs, which leaves trailing shards legitimately empty).
-void test_manifest_sharding() {
-  SweepManifest m;
-  CHECK(builtin_manifest("table1", &m));
-  for (int k : {1, 3, 4, 7, 64}) {
-    const std::vector<SweepManifest> parts = shard_manifest(m, k);
-    CHECK(parts.size() == static_cast<std::size_t>(k));
-    std::size_t total = 0;
-    for (int i = 0; i < k; ++i) {
-      CHECK(parts[static_cast<std::size_t>(i)].name ==
-            m.name + ".shard" + std::to_string(i) + "of" + std::to_string(k));
-      total += parts[static_cast<std::size_t>(i)].specs.size();
-    }
-    CHECK(total == m.specs.size());
-    for (std::size_t s = 0; s < m.specs.size(); ++s) {
-      const SweepManifest& part = parts[s % static_cast<std::size_t>(k)];
-      const std::size_t j = s / static_cast<std::size_t>(k);
-      CHECK(j < part.specs.size());
-      if (j < part.specs.size()) {
-        CHECK(part.specs[j].to_json() == m.specs[s].to_json());
-      }
-    }
-  }
-  // K < 1 clamps to one shard: a renamed copy of the whole grid.
-  const std::vector<SweepManifest> one = shard_manifest(m, 0);
-  CHECK(one.size() == 1);
-  CHECK(one[0].name == m.name + ".shard0of1");
-  CHECK(one[0].specs.size() == m.specs.size());
-}
-
-// The count parser behind `qavat-sweep emit --shards K` and
-// `bench_sweep --workers K` takes whole positive decimal integers only;
-// a rejected value leaves the target untouched.
-void test_parse_positive_count() {
-  int n = 0;
-  CHECK(parse_positive_count("1", &n) && n == 1);
-  CHECK(parse_positive_count("12", &n) && n == 12);
-  CHECK(parse_positive_count("2147483647", &n) && n == 2147483647);
-  for (const char* bad : {"", "abc", "3x", "x3", "0", "-2", "+2", " 2",
-                          "2 ", "1.5", "2147483648", "99999999999999999999"}) {
-    n = 7;
-    CHECK(!parse_positive_count(bad, &n));
-    CHECK(n == 7);
-  }
-}
-
 void test_manifest_rejection() {
   SweepManifest good;
   CHECK(builtin_manifest("sweep_sigma", &good));
@@ -466,8 +417,6 @@ int main() {
   test_roundtrip_field_sweep();
   test_rejection();
   test_manifest_roundtrip();
-  test_manifest_sharding();
-  test_parse_positive_count();
   test_manifest_rejection();
   test_spec_file_io();
   return qavat::test::finish("test_scenario_json");

@@ -1,5 +1,5 @@
-// Serialization + artifact-store tests: Tensor/StateDict/Module
-// save->load bit-identity, ScenarioSpec JSON round-trip and key
+// Serialization + artifact-store tests: StateDict/Module save->load
+// bit-identity, ScenarioSpec JSON round-trip and key
 // stability, read-through cache behavior, corrupted/partial-file
 // recovery (the store falls back to retraining, never crashes), and
 // clear_experiment_caches(drop_disk). Runs against a private temp store
@@ -37,32 +37,12 @@ Tensor random_tensor(std::vector<index_t> shape, Rng& rng) {
   return t;
 }
 
-void test_tensor_roundtrip() {
-  Rng rng(1);
-  for (const auto& shape : {std::vector<index_t>{7},
-                            std::vector<index_t>{3, 5},
-                            std::vector<index_t>{2, 3, 4, 5},
-                            std::vector<index_t>{1, 1, 1}}) {
-    const Tensor t = random_tensor(shape, rng);
-    std::stringstream ss;
-    save_tensor(ss, t);
-    Tensor back;
-    CHECK(load_tensor(ss, &back));
-    CHECK(tensors_equal(t, back));
-  }
-  // Empty tensor round-trips too.
-  std::stringstream ss;
-  save_tensor(ss, Tensor{});
-  Tensor back;
-  CHECK(load_tensor(ss, &back));
-  CHECK(back.size() == 0);
-}
-
 void test_state_dict_roundtrip_and_corruption() {
   Rng rng(2);
   StateDict sd;
   sd.add_tensor("w", random_tensor({4, 9}, rng));
   sd.add_tensor("b", random_tensor({4}, rng));
+  sd.add_tensor("empty", Tensor{});  // the size-0 path
   sd.add_scalar("scale", 0.12345678901234567);
   sd.add_scalar("flag", 1.0);
 
@@ -72,10 +52,12 @@ void test_state_dict_roundtrip_and_corruption() {
 
   StateDict back;
   CHECK(load_state_dict(ss, &back));
-  CHECK(back.tensors.size() == 2);
+  CHECK(back.tensors.size() == 3);
   CHECK(back.scalars.size() == 2);
   CHECK(back.find_tensor("w") != nullptr &&
         tensors_equal(*back.find_tensor("w"), *sd.find_tensor("w")));
+  CHECK(back.find_tensor("empty") != nullptr &&
+        back.find_tensor("empty")->size() == 0);
   CHECK(back.find_scalar("scale") != nullptr &&
         *back.find_scalar("scale") == 0.12345678901234567);
 
@@ -314,9 +296,9 @@ int main() {
       fs::temp_directory_path() /
       ("qavat_test_store_" + std::to_string(::getpid()));
   ::setenv("QAVAT_STORE_DIR", store_dir.c_str(), 1);
+  ::setenv("QAVAT_STORE", "1", 1);
   CHECK(store_enabled());
 
-  test_tensor_roundtrip();
   test_state_dict_roundtrip_and_corruption();
   test_module_state_roundtrip();
   test_scenario_json_and_key();
@@ -339,7 +321,7 @@ int main() {
   clear_experiment_caches();
   with_eval_cache("test_store_disabled", compute);
   CHECK(calls == 2);  // no disk backing while disabled
-  ::unsetenv("QAVAT_STORE");
+  ::setenv("QAVAT_STORE", "1", 1);
 
   std::error_code ec;
   fs::remove_all(store_dir, ec);

@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
             ("qavat-test-store-cli-" + std::to_string(::getpid())))
                .string();
   ::setenv("QAVAT_STORE_DIR", g_root.c_str(), 1);
+  ::setenv("QAVAT_STORE", "1", 1);
   std::error_code ec;
   fs::remove_all(g_root, ec);
 

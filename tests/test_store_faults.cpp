@@ -483,6 +483,7 @@ int main() {
   g_store_dir = fs::temp_directory_path() /
                 ("qavat_test_store_faults_" + std::to_string(::getpid()));
   ::setenv("QAVAT_STORE_DIR", g_store_dir.c_str(), 1);
+  ::setenv("QAVAT_STORE", "1", 1);
   ::setenv("QAVAT_CLAIM_BACKOFF_MS", "5", 1);
   CHECK(store_enabled());
   store_stats_reset();

@@ -24,16 +24,16 @@
 // root artifacts/store (relative to the working directory) is used.
 // S must be a non-negative decimal ("3600", "0", "1.5"); anything else
 // prints usage and exits 2.
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "eval/store.h"
+#include "tensor/env.h"
 
 namespace fs = std::filesystem;
 using namespace qavat;
@@ -54,21 +54,6 @@ int usage(const char* argv0) {
                "seconds\n",
                argv0);
   return 2;
-}
-
-// Parse an age in seconds: the whole of `text` must be a finite
-// decimal of digits and one optional '.'. A bare strtod would read
-// "abc" as 0, and an evict or gc at age 0 removes every artifact or
-// lease.
-bool parse_seconds(const char* text, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (text[std::strspn(text, "0123456789.")] != '\0' || end == text ||
-      *end != '\0' || !std::isfinite(v)) {
-    return false;
-  }
-  *out = v;
-  return true;
 }
 
 bool file_is_tmp(const std::string& name) {
@@ -195,8 +180,10 @@ int main(int argc, char** argv) {
       evict_quarantine = true;
     } else if ((arg == "--min-age" || arg == "--older-than") &&
                i + 1 < argc) {
-      if (!parse_seconds(argv[++i],
-                         arg == "--min-age" ? &min_age : &older_than)) {
+      // A lax parse would read "abc" as 0, and an evict or gc at age 0
+      // removes every artifact or lease.
+      if (!parse_real(argv[++i], 0.0, std::numeric_limits<double>::max(),
+                      arg == "--min-age" ? &min_age : &older_than)) {
         std::fprintf(stderr,
                      "qavat-store: %s expects a non-negative number of "
                      "seconds, got '%s'\n",

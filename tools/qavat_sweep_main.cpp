@@ -4,13 +4,11 @@
 //
 //   qavat-sweep emit
 //       List the built-in grid generators.
-//   qavat-sweep emit <grid> [-o FILE] [--shards K]
+//   qavat-sweep emit <grid> [-o FILE]
 //       Materialize a built-in grid ("table1", "sweep_sigma") as a
 //       manifest JSON document, to stdout or FILE. Budgets are frozen
 //       under the CURRENT QAVAT_FAST — run the manifest under the same
-//       setting. --shards K instead writes K disjoint round-robin
-//       manifests (<base>.shard<i>of<K>) for hosts that do not share a
-//       store; together they partition the grid losslessly.
+//       setting.
 //   qavat-sweep run <manifest.json> [--dry-run]
 //       Execute a manifest: one in-process run_all pass. --dry-run
 //       probes each spec's claim units (done/busy/ready) and runs
@@ -18,9 +16,6 @@
 //       independent `qavat-sweep run` processes on one store: run_all's
 //       lanes skip units a peer is producing and the work-claim protocol
 //       trains each unit exactly once (DESIGN.md §15).
-//
-// K in --shards K must be a positive decimal integer; anything else
-// prints usage and exits 2.
 //
 // Per-result stdout lines are byte-stable across processes, stores and
 // thread counts:
@@ -43,11 +38,8 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <emit|run> ...\n"
                "  emit                         list built-in grids\n"
-               "  emit <grid> [-o FILE] [--shards K]\n"
-               "                               write a built-in grid as a "
+               "  emit <grid> [-o FILE]        write a built-in grid as a "
                "manifest\n"
-               "                               (--shards K: K disjoint "
-               "round-robin manifests)\n"
                "  run <manifest.json> [--dry-run]\n"
                "                               execute a manifest\n",
                argv0);
@@ -63,18 +55,9 @@ int cmd_emit(int argc, char** argv) {
   }
   const std::string grid = argv[2];
   const char* out_path = nullptr;
-  int shards = 0;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      if (!parse_positive_count(argv[++i], &shards)) {
-        std::fprintf(stderr,
-                     "qavat-sweep: --shards expects a positive integer, "
-                     "got '%s'\n",
-                     argv[i]);
-        return usage(argv[0]);
-      }
     } else {
       return usage(argv[0]);
     }
@@ -83,27 +66,6 @@ int cmd_emit(int argc, char** argv) {
   if (!builtin_manifest(grid, &m)) {
     std::fprintf(stderr, "qavat-sweep: unknown grid '%s'\n", grid.c_str());
     return 1;
-  }
-  if (shards > 0) {
-    // Round-robin split for hosts that do not share a store: shard i is
-    // written next to the base path as <base>.shard<i>of<K> and carries
-    // the matching manifest name. The shards partition the grid
-    // losslessly (shard i holds specs i, i+K, i+2K, ... in grid order).
-    const std::string base =
-        out_path != nullptr ? std::string(out_path) : grid + ".json";
-    const std::vector<SweepManifest> parts = shard_manifest(m, shards);
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      const std::string path = base + ".shard" + std::to_string(i) + "of" +
-                               std::to_string(shards);
-      std::string err;
-      if (!parts[i].save(path, &err)) {
-        std::fprintf(stderr, "qavat-sweep: %s\n", err.c_str());
-        return 1;
-      }
-      std::printf("shard %zu %s specs=%zu\n", i, path.c_str(),
-                  parts[i].specs.size());
-    }
-    return 0;
   }
   if (out_path == nullptr) {
     std::printf("%s\n", m.to_json().c_str());
