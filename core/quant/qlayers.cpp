@@ -61,7 +61,38 @@ std::vector<float> tile_row_sums(const std::vector<float>& sums, index_t nb) {
   return out;
 }
 
+// bias_grad[co0 + b] += gy[ni, co0 + b, pos] over ascending (ni, pos),
+// for b < B: B independent chains interleaved, so the adds pipeline.
+template <int B>
+void bias_chains(const float* gy, index_t n, index_t cout, index_t ohw,
+                 index_t co0, float* bias_grad) {
+  float s[B];
+  for (int b = 0; b < B; ++b) s[b] = bias_grad[co0 + b];
+  for (index_t ni = 0; ni < n; ++ni) {
+    const float* img = gy + (ni * cout + co0) * ohw;
+    for (index_t pos = 0; pos < ohw; ++pos) {
+      for (int b = 0; b < B; ++b) s[b] += img[b * ohw + pos];
+    }
+  }
+  for (int b = 0; b < B; ++b) bias_grad[co0 + b] = s[b];
+}
+
 }  // namespace
+
+void QuantLayerBase::check_grad_shape(const Tensor& gy, const char* who) const {
+  if (y_shape_.empty()) {
+    throw std::invalid_argument(std::string(who) + ": no forward has run");
+  }
+  if (gy.shape() != y_shape_) {
+    std::string want;
+    for (index_t d : y_shape_) {
+      want += (want.empty() ? "" : ",") + std::to_string(d);
+    }
+    throw std::invalid_argument(std::string(who) +
+                                ": gradient must have the last forward's "
+                                "output shape {" + want + "}");
+  }
+}
 
 void AnalogBackend::mvm_grouped_into(const Tensor& x2d, index_t groups,
                                      bool shared, Tensor& y) {
@@ -380,11 +411,11 @@ Tensor QuantLinear::forward(const Tensor& x) {
   }
   last_macs_ = static_cast<double>(fan_in_ * fan_out_);
   last_positions_ = 1.0;
+  y_shape_ = y.shape();
   return y;
 }
 
 Tensor QuantLinear::backward(const Tensor& gy) {
-  assert(gy.ndim() == 2 && gy.dim(1) == fan_out_);
   if (noise_batch() > 1) {
     throw std::logic_error("QuantLinear::backward: batched noise is eval-only");
   }
@@ -392,6 +423,7 @@ Tensor QuantLinear::backward(const Tensor& gy) {
     throw std::logic_error(
         "QuantLinear::backward: analog backend is inference-only");
   }
+  check_grad_shape(gy, "QuantLinear::backward");
   bias_.ensure_grad();
   const float* pg = gy.data();
   float* pb = bias_.grad.data();
@@ -514,11 +546,11 @@ Tensor QuantConv2d::forward(const Tensor& x) {
   });
   last_macs_ = static_cast<double>(fan_in_ * out_channels_ * oh * ow);
   last_positions_ = static_cast<double>(oh * ow);
+  y_shape_ = y.shape();
   return y;
 }
 
 Tensor QuantConv2d::backward(const Tensor& gy) {
-  assert(gy.ndim() == 4 && gy.dim(1) == out_channels_);
   if (noise_batch() > 1) {
     throw std::logic_error("QuantConv2d::backward: batched noise is eval-only");
   }
@@ -526,38 +558,28 @@ Tensor QuantConv2d::backward(const Tensor& gy) {
     throw std::logic_error(
         "QuantConv2d::backward: analog backend is inference-only");
   }
+  check_grad_shape(gy, "QuantConv2d::backward");
   const index_t n = gy.dim(0), oh = gy.dim(2), ow = gy.dim(3);
   const index_t ohw = oh * ow, cout = out_channels_;
-  // Permute to {N*OH*OW, cout} (inverse of forward's layout change).
-  Tensor& gy2d = ws_->acquire(ws_, kWsGy2d, {n * ohw, cout});
-  const float* pg = gy.data();
-  float* p2 = gy2d.data();
-  parallel_for_elems(n * ohw, [=](index_t r0, index_t r1) {
-    for (index_t r = r0; r < r1; ++r) {
-      const index_t ni = r / ohw, pos = r - ni * ohw;
-      const float* src = pg + ni * cout * ohw + pos;
-      float* dst = p2 + r * cout;
-      for (index_t co = 0; co < cout; ++co) dst[co] = src[co * ohw];
-    }
-  });
-  // Bias gradient: serial column reduction in ascending (image, position)
-  // order — kept out of the threaded permute so no accumulation races.
+  // Every gradient reads gy in place (NCHW). The bias chains run in
+  // ascending (image, position) order, as the GEMM chains below do.
   bias_.ensure_grad();
   float* pb = bias_.grad.data();
-  for (index_t r = 0; r < n * ohw; ++r) {
-    const float* row = p2 + r * cout;
-    for (index_t co = 0; co < cout; ++co) pb[co] += row[co];
-  }
+  const float* pg = gy.data();
+  index_t co = 0;
+  for (; co + 8 <= cout; co += 8) bias_chains<8>(pg, n, cout, ohw, co, pb);
+  for (; co < cout; ++co) bias_chains<1>(pg, n, cout, ohw, co, pb);
+  // dW = sum over images of gy_i {cout, OH*OW} * cols_i {OH*OW, cin*k*k}:
+  // the chain of matmul_tn(gy permuted to rows, cols_).
   Tensor& dw = ws_->acquire(ws_, kWsDw, {fan_out_, fan_in_});
-  matmul_tn_into(gy2d, cols_, dw);
+  dw.zero();
+  matmul_acc_into(gy, cols_, n, dw);
   accumulate_weight_grad(dw);
-  Tensor& dcols = ws_->acquire(ws_, kWsDcols, {n * ohw, fan_in_});
-  matmul_into(gy2d, weff_, dcols);
   const ConvGeom geom{n,       in_channels_, x_shape_[2], x_shape_[3],
                       kernel_, stride_,      pad_,        oh,
                       ow};
   Tensor gx;
-  col2im(dcols, geom, gx);
+  conv_backward_data(gy, weff_, geom, gx);
   if (x_mask_.size() == gx.size()) {
     float* p = gx.data();
     const float* m = x_mask_.data();

@@ -228,10 +228,8 @@ class QuantLayerBase : public Layer {
   enum WsSlot {
     kWsXq = 0,      // quantized input (training conv path)
     kWsY2d = 1,     // 2-D analog output before the NCHW permute
-    kWsGy2d = 2,    // permuted upstream gradient
-    kWsDw = 3,      // grad wrt effective weight
-    kWsDcols = 4,   // grad wrt im2col matrix
-    kWsBlock = 5,   // first chip block of a shared batched input
+    kWsDw = 2,      // grad wrt effective weight
+    kWsBlock = 3,   // first chip block of a shared batched input
   };
   /// Effective weight for the analog MVM: quantize-dequantize (when
   /// enabled) then apply the active noise realization. With a noise batch
@@ -275,6 +273,11 @@ class QuantLayerBase : public Layer {
   /// Apply the active self-tuning correction to the 2-D analog output
   /// {rows, fan_out}; `row_sums` holds sum_j xq_j per row (LTM measurand).
   void apply_correction(Tensor& y2d, const std::vector<float>& row_sums) const;
+  /// Throws std::invalid_argument unless `gy` has exactly the output
+  /// shape of the last forward (and when no forward has run): a gradient
+  /// of the wrong geometry would otherwise pass every GEMM check
+  /// whenever its element count matches. `who` prefixes the message.
+  void check_grad_shape(const Tensor& gy, const char* who) const;
   /// Gradient wrt the quantized weight -> accumulate into weight_.grad,
   /// applying the reparameterization factor and the weight STE mask.
   void accumulate_weight_grad(const Tensor& grad_weff);
@@ -298,6 +301,7 @@ class QuantLayerBase : public Layer {
   Tensor x_mask_;    // activation STE mask
   double last_macs_ = 0.0;
   double last_positions_ = 1.0;
+  std::vector<index_t> y_shape_;  // output shape of the last forward
   // Scratch arena: Module injects its shared workspace via
   // set_workspace(); standalone layers (benches, unit tests) fall back to
   // a private one so the zero-alloc reuse applies everywhere.
@@ -329,7 +333,7 @@ class QuantLinear : public QuantLayerBase {
 ///
 /// Inference forwards fuse the activation quantizer into the im2col
 /// gather (tensor/conv_ops.h) — no intermediate quantized tensor — and
-/// all scratch (2-D GEMM output, permuted gradients) lives in the
+/// all scratch (2-D GEMM output, weight gradient) lives in the
 /// workspace, so repeated same-shape calls are allocation-free. `cols_`
 /// stays a member: it is the forward cache backward consumes, which the
 /// workspace lifetime contract excludes from its slots.

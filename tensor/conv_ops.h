@@ -1,9 +1,10 @@
-// Convolution/pooling loop nests: im2col, col2im, max-pooling, and the
-// fused act-quantize + im2col gather used by the inference path. Following
-// the Halide schedule/algorithm separation, this file owns the SCHEDULE
-// (threading grain, loop order, padding specialization) for the conv
-// pipeline, while the algorithms stay naive-loop-equivalent — the same
-// determinism contract tensor/ops.h establishes for the GEMM kernels.
+// Convolution/pooling loop nests: im2col, the conv input gradient, the
+// col2im reference it replaced, max-pooling, and the fused act-quantize +
+// im2col gather used by the inference path. Following the Halide
+// schedule/algorithm separation, this file owns the SCHEDULE (threading
+// grain, loop order, padding specialization) for the conv pipeline,
+// while the algorithms stay naive-loop-equivalent — the same determinism
+// contract tensor/ops.h establishes for the GEMM kernels.
 //
 // Determinism contract (tested by tests/test_conv_ops.cpp):
 //  * Every output element is produced by exactly one thread with a fixed
@@ -20,18 +21,18 @@
 //    thread owns whole input rows and accumulates the <= K*K window
 //    contributions per element in fixed (ky, kx) ascending order. No
 //    shared writes, no atomics, no partials.
+//  * col2im is now the reference, not the training path. The training
+//    step computes the input gradient with conv_backward_data, which
+//    owns gx rows the same way and builds, per element and tap, the very
+//    chain matmul(gy2d, w) would put in the cols-layout gradient (start
+//    at 0.0f, add w * gy over ascending output channel, in the GEMM
+//    tile's FMA form), summed over taps in col2im's (ky, kx) order. No
+//    cols-layout gradient, no col2im, no permute of gy — bit-identical.
 //  * im2col/pooling threading grains are whole output rows / whole
 //    (image, channel) planes, so chunk boundaries can never split one
-//    output element's work.
+//    output element's work. im2col's wide tap moves write junk only
+//    inside the row being gathered; each row's last run is exact.
 //
-// The fused im2col_quant applies the unsigned activation quantizer
-// elementwise while gathering — arithmetic identical to
-// ActQuantizer::quantize followed by im2col (quantize(0) == 0, so padding
-// commutes with the quantizer) — removing one full tensor pass and one
-// scratch tensor. Because the gather visits each input element once per
-// covering window, the fusion only pays off when windows do not overlap
-// (stride >= k; e.g. 1x1 convs); QuantConv2d shape-gates it accordingly
-// and otherwise quantizes once (vectorized) before a pure-copy gather.
 #pragma once
 
 #include <vector>
@@ -67,8 +68,19 @@ void im2col_quant(const Tensor& x, const ConvGeom& g, float scale,
 /// Transpose of im2col: scatter-add the cols-layout gradient back to the
 /// input image layout (gather form, see the contract above). Writes every
 /// element of gx (resized to {g.n, g.c, g.h, g.w}); threaded over input
-/// rows, bit-identical for any thread count.
+/// rows, bit-identical for any thread count. The reference for
+/// conv_backward_data, which the training step runs instead.
 void col2im(const Tensor& cols, const ConvGeom& g, Tensor& gx);
+
+/// Input gradient of a conv straight from its NCHW output gradient:
+/// gy {g.n, cout, g.oh, g.ow} and weights w {cout, g.ckk()} give gx
+/// (resized to {g.n, g.c, g.h, g.w}) bit-identical to
+/// col2im(matmul(gy2d, w)), gy2d being gy permuted to {g.rows(), cout}.
+/// Every tap's chain over cout and every element's sum over taps keep
+/// the reference's order (see the contract above); the weights must be
+/// finite. Threaded over gx rows, bit-identical for any thread count.
+void conv_backward_data(const Tensor& gy, const Tensor& w, const ConvGeom& g,
+                        Tensor& gx);
 
 /// Non-overlapping k x k max pooling over NCHW (floor semantics: trailing
 /// rows/cols that do not fill a window are dropped). `argmax` records the

@@ -406,6 +406,39 @@ void matmul_nt_acc_into(const Tensor& a, const Tensor& b, Tensor& c) {
   gemm_nt_dispatch<true>(a.data(), b.data(), c.data(), m, k, n);
 }
 
+void matmul_acc_into(const Tensor& a, const Tensor& b, index_t groups,
+                     Tensor& c) {
+  if (groups < 1 || b.ndim() != 2 || c.ndim() != 2 ||
+      b.dim(0) % groups != 0 || b.dim(1) != c.dim(1)) {
+    throw std::invalid_argument("matmul_acc: bad operands " + shape_str(a) +
+                                " * " + shape_str(b) + " -> " + shape_str(c) +
+                                " with groups=" + std::to_string(groups));
+  }
+  const index_t m = c.dim(0), k = b.dim(0) / groups, n = b.dim(1);
+  if (a.ndim() < 3 || a.dim(0) != groups || a.dim(1) != m ||
+      a.size() != groups * m * k) {
+    throw std::invalid_argument("matmul_acc: A " + shape_str(a) +
+                                " is not " + std::to_string(groups) +
+                                " blocks {" + std::to_string(m) + "," +
+                                std::to_string(k) + "}");
+  }
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  // Groups outermost within a row chunk: one block pair at a time stays
+  // in cache while the chunk's row bands read it.
+  launch_rows(m, groups * k * n, [=](index_t i0, index_t i1) {
+    for (index_t g = 0; g < groups; ++g) {
+      const float* ag = pa + g * m * k;
+      auto band_a = [=](index_t i) {
+        const float* a0 = ag + i * k;
+        return [=](index_t p, index_t r) { return a0[r * k + p]; };
+      };
+      gemm_b_rows<true>(band_a, pb + g * k * n, pc, i0, i1, k, n);
+    }
+  });
+}
+
 void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& c) {
   check_gemm_2d("matmul_tn", a, b, 0, 0);
   const index_t k = a.dim(0), m = a.dim(1), n = b.dim(1);

@@ -62,6 +62,19 @@ void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& c);
 /// is the partial-sum determinism contract of the crossbar column tiling
 /// (DESIGN.md §10). Thread-count independent like every GEMM here.
 void matmul_nt_acc_into(const Tensor& a, const Tensor& b, Tensor& c);
+
+/// Accumulating NN GEMM summed over `groups` operand pairs:
+/// C(m,n) (+)= sum_g A_g(m,k) * B_g(k,n). A holds the blocks back to back
+/// as {groups, m, ...} with the trailing dims multiplying to k (an NCHW
+/// tensor is N blocks {C, H*W}); B is {groups*k, n}; `c` must already be
+/// {m,n}. Any other shape throws std::invalid_argument. Each
+/// output element's chain continues from c's current value over
+/// ascending (g, p), so on a zero-initialized c the result is
+/// bit-identical to matmul_tn_into(A^T, B) with the blocks' rows of A^T
+/// stacked g-major — the conv weight gradient read straight from NCHW gy.
+/// Thread-count independent like every GEMM here.
+void matmul_acc_into(const Tensor& a, const Tensor& b, index_t groups,
+                     Tensor& c);
 void matmul_nt_batched_into(const Tensor& a, const Tensor& b, index_t groups,
                             Tensor& c);
 void matmul_nt_shared_into(const Tensor& a, const Tensor& b, index_t groups,

@@ -2,7 +2,7 @@
 //
 // A forward/backward pass through a quant model needs a handful of
 // transient buffers per layer (quantized activations, im2col matrices,
-// 2-D GEMM outputs, permuted gradients). Allocating them per call puts a
+// 2-D GEMM outputs, weight gradients). Allocating them per call puts a
 // malloc + page-fault + zero-fill pass on every layer of every
 // Monte-Carlo chip and every training step; the arena instead hands out
 // persistently-sized buffers keyed by (owner, slot), so a steady-state

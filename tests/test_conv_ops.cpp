@@ -6,6 +6,7 @@
 // and the workspace zero-alloc steady-state invariant.
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "core/models/models.h"
@@ -251,6 +252,134 @@ void check_conv_layer_thread_identity(Rng& rng) {
   set_num_threads(saved);
 }
 
+// gy permuted from NCHW to the rows layout {N*OH*OW, cout} of the
+// GEMM-based reference backward.
+Tensor rows_of(const Tensor& gy) {
+  const index_t n = gy.dim(0), cout = gy.dim(1), ohw = gy.dim(2) * gy.dim(3);
+  Tensor rows({n * ohw, cout});
+  for (index_t ni = 0; ni < n; ++ni) {
+    for (index_t co = 0; co < cout; ++co) {
+      for (index_t pos = 0; pos < ohw; ++pos) {
+        rows[(ni * ohw + pos) * cout + co] = gy[(ni * cout + co) * ohw + pos];
+      }
+    }
+  }
+  return rows;
+}
+
+// The layer backward against the GEMM-based reference it replaces:
+// gx = col2im(matmul(gy2d, weff)) * mask, dW = matmul_tn(gy2d, cols) and
+// the bias gradient as a column sum in ascending (image, position)
+// order, all bit for bit, with the quantizers on, at 1 and 4 threads.
+void check_conv_backward_reference(const ConvGeom& g, Rng& rng) {
+  const index_t saved = num_threads();
+  const index_t cout = 5 + g.c;  // 6..21: full 8-channel blocks and rests
+  Tensor x({g.n, g.c, g.h, g.w});
+  fill_normal(x, rng);
+  Tensor gy({g.n, cout, g.oh, g.ow});
+  fill_normal(gy, rng);
+  for (index_t nt : {1, 4}) {
+    set_num_threads(nt);
+    Rng wrng(11);
+    QuantConv2d conv(g.c, cout, g.k, g.stride, g.pad, 4, 3, wrng);
+    conv.refresh_weight_scale();
+    conv.act_quantizer().set_scale(0.3f);
+    conv.set_training(true);
+    conv.weight().ensure_grad();
+    conv.weight().grad.zero();
+    conv.bias().ensure_grad();
+    conv.bias().grad.zero();
+    conv.forward(x);
+    const Tensor gx = conv.backward(gy);
+
+    // The forward's operands: quantized input and its STE mask under the
+    // scale the forward used, and the programmed (noise-free) weights.
+    ActQuantizer aq = conv.act_quantizer();
+    Tensor xq, mask;
+    aq.quantize(x, xq, &mask);
+    const Tensor weff = conv.programmed_weight();
+    Tensor cols;
+    im2col(xq, g, cols);
+    const Tensor gy2d = rows_of(gy);
+    Tensor dcols, gx_ref;
+    matmul_into(gy2d, weff, dcols);
+    col2im(dcols, g, gx_ref);
+    for (index_t i = 0; i < gx_ref.size(); ++i) gx_ref[i] *= mask[i];
+    CHECK(bits_equal(gx, gx_ref));
+
+    Tensor dw;
+    matmul_tn_into(gy2d, cols, dw);
+    Tensor wq, wmask;
+    quantize_dequantize(conv.weight().value, conv.weight_scale(),
+                        conv.weight_bits(), wq, &wmask);
+    for (index_t i = 0; i < dw.size(); ++i) dw[i] = 0.0f + dw[i] * wmask[i];
+    CHECK(bits_equal(conv.weight().grad, dw));
+
+    Tensor bias_ref({cout});
+    for (index_t r = 0; r < gy2d.dim(0); ++r) {
+      for (index_t co = 0; co < cout; ++co) bias_ref[co] += gy2d[r * cout + co];
+    }
+    CHECK(bits_equal(conv.bias().grad, bias_ref));
+  }
+  set_num_threads(saved);
+}
+
+template <typename Fn>
+bool throws_invalid(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+  return false;
+}
+
+// A gradient whose element count matches the last forward's output but
+// whose geometry does not must be refused (it would pass every GEMM
+// check), as must a backward with no forward before it — for both quant
+// layer kinds, in every build type, before any gradient is touched.
+void check_backward_shape_checks(Rng& rng) {
+  Rng wrng(5);
+  QuantConv2d conv(2, 4, 3, 1, 1, 4, 3, wrng);
+  conv.refresh_weight_scale();
+  conv.act_quantizer().set_scale(0.3f);
+  conv.set_training(true);
+  conv.weight().ensure_grad();
+  conv.weight().grad.zero();
+  conv.bias().ensure_grad();
+  conv.bias().grad.zero();
+  // No forward yet.
+  CHECK(throws_invalid([&] { conv.backward(Tensor({2, 4, 8, 6})); }));
+  Tensor x({2, 2, 8, 6});
+  fill_normal(x, rng);
+  const Tensor y = conv.forward(x);
+  CHECK(y.shape() == std::vector<index_t>({2, 4, 8, 6}));
+  CHECK(throws_invalid([&] { conv.backward(Tensor({2, 4, 6, 8}, 1.0f)); }));
+  CHECK(throws_invalid([&] { conv.backward(Tensor({1, 4, 8, 6}, 1.0f)); }));
+  CHECK(throws_invalid([&] { conv.backward(Tensor({2 * 4 * 8, 6}, 1.0f)); }));
+  CHECK(conv.weight().grad.abs_max() == 0.0f);
+  CHECK(conv.bias().grad.abs_max() == 0.0f);
+  CHECK(conv.backward(Tensor({2, 4, 8, 6}, 1.0f)).shape() == x.shape());
+
+  QuantLinear lin(6, 4, 4, 3, wrng);
+  lin.refresh_weight_scale();
+  lin.act_quantizer().set_scale(0.3f);
+  lin.set_training(true);
+  lin.weight().ensure_grad();
+  lin.weight().grad.zero();
+  lin.bias().ensure_grad();
+  lin.bias().grad.zero();
+  CHECK(throws_invalid([&] { lin.backward(Tensor({3, 4})); }));  // no forward
+  Tensor xl({3, 6});
+  fill_normal(xl, rng);
+  lin.forward(xl);
+  CHECK(throws_invalid([&] { lin.backward(Tensor({4, 3}, 1.0f)); }));
+  CHECK(throws_invalid([&] { lin.backward(Tensor({2, 4}, 1.0f)); }));
+  CHECK(lin.weight().grad.abs_max() == 0.0f);
+  CHECK(lin.bias().grad.abs_max() == 0.0f);
+  CHECK(lin.backward(Tensor({3, 4}, 1.0f)).shape() == xl.shape());
+}
+
 // Batched Monte-Carlo evaluation: per-chip accuracies must be identical
 // for any thread count (and match one chip per forward, which
 // test_eval_batched already pins down).
@@ -353,7 +482,30 @@ int main() {
   for (const auto& s : combos) {
     const ConvGeom g = geom_of(s[0], s[1], s[2], s[3], s[4], s[5], s[6]);
     check_im2col_col2im(g, rng);
+    check_conv_backward_reference(g, rng);
   }
+  // The models' shapes: 3x3 pad 1 over 8+ channels, rows of 16 lanes
+  // with a sliding last chunk (w = 20), of 8 (w = 6) and the 1x1 skip.
+  const index_t model_combos[][7] = {
+      {2, 16, 16, 16, 3, 1, 1}, {3, 12, 6, 6, 3, 1, 1},
+      {1, 9, 5, 20, 3, 1, 1},   {2, 16, 8, 8, 1, 1, 0},
+  };
+  for (const auto& s : model_combos) {
+    check_conv_backward_reference(
+        geom_of(s[0], s[1], s[2], s[3], s[4], s[5], s[6]), rng);
+  }
+  // An interior last window that ends at x's last element, so the sanitizer
+  // sees any read or write past the tensor by the wide tap moves.
+  for (index_t k : {3, 5}) {
+    const ConvGeom g = geom_of(1, 2, k, k + 1, k, 1, 0);
+    Tensor x({g.n, g.c, g.h, g.w});
+    fill_normal(x, rng);
+    Tensor cols;
+    im2col(x, g, cols);
+    CHECK(bits_equal(cols, naive_im2col(x, g)));
+    CHECK(cols[cols.size() - 1] == x[x.size() - 1]);
+  }
+  check_backward_shape_checks(rng);
 
   check_fused_quant_gather(rng);
   check_maxpool(rng);

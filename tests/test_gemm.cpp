@@ -109,6 +109,22 @@ void check_chain_invariance(index_t m, index_t k, index_t n, Rng& rng) {
   const Tensor c = matmul(a, b);
   CHECK(bit_identical(matmul_nt(a, bt), c));
   CHECK(bit_identical(matmul_tn(at, b), c));
+  // matmul_acc_into over the contraction cut into `groups` column blocks
+  // of A (stored back to back) and the matching row blocks of B.
+  for (index_t groups : {index_t{1}, index_t{3}}) {
+    if (k % groups != 0) continue;
+    const index_t kg = k / groups;
+    Tensor blocks({groups, m, kg});
+    for (index_t g = 0; g < groups; ++g) {
+      for (index_t i = 0; i < m; ++i) {
+        std::memcpy(blocks.data() + (g * m + i) * kg, a.data() + i * k + g * kg,
+                    static_cast<std::size_t>(kg) * sizeof(float));
+      }
+    }
+    Tensor acc({m, n});
+    matmul_acc_into(blocks, b, groups, acc);
+    CHECK(bit_identical(acc, c));
+  }
   for (index_t j : {index_t{1}, n / 2, n - 1}) {
     if (j < 1 || j >= n) continue;
     const Tensor cj = leading_cols(c, j), bj = leading_cols(b, j);
@@ -162,6 +178,16 @@ int main() {
   {
     Tensor a63({6, 3}), b43({4, 3});
     CHECK(throws_invalid_argument([&] { matmul_nt_batched(a63, b43, 4); }));
+  }
+  {
+    // matmul_acc_into: A must be {groups, m, ...} holding groups*m*k
+    // floats, B {groups*k, n}, C a pre-sized {m, n}.
+    Tensor a234({2, 3, 4}), b85({8, 5}), c35({3, 5}), c25({2, 5});
+    matmul_acc_into(a234, b85, 2, c35);
+    CHECK(throws_invalid_argument([&] { matmul_acc_into(a234, b85, 2, c25); }));
+    CHECK(throws_invalid_argument([&] { matmul_acc_into(a234, b85, 4, c35); }));
+    CHECK(throws_invalid_argument([&] { matmul_acc_into(a234, b45, 2, c35); }));
+    CHECK(throws_invalid_argument([&] { matmul_acc_into(a23, b85, 1, c35); }));
   }
 
   // Zero entries must not change the accumulation order: a GEMM where some
